@@ -31,7 +31,14 @@ from .exactnum import (
     rational_poles,
     rf,
 )
-from .model import DegreeConfig, FiberedConfig, NCConfig, StratumSelection
+from .model import (
+    DegreeConfig,
+    FiberedConfig,
+    NCConfig,
+    StratumSelection,
+    _all_subsets,
+    stratum_sum,
+)
 
 
 class ConstructibleFunction:
@@ -146,11 +153,37 @@ def _selection_for(config, selection) -> StratumSelection:
 
 
 def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
-    """Sum over selected index sets of the product of E_i/(1+m_i)."""
+    """Sum over selected index sets I of the product of E_i/(1+m_i), i in I.
+
+    With F_i = 1 + E_i/(1+m_i), the whole selection is the product of
+    all F_i, and closed(L) is the product of F_i over i outside L times
+    (the product over L, minus 1): c + 1 class products in all. An
+    explicit selection costs one product per listed index set; sets with
+    more members than the dimension are skipped, since their products
+    vanish.
+    """
     selection = _selection_for(config, selection)
-    total = config.ring.zero()
+    ring = config.ring
+
+    def factors(names):
+        total = ring.one()
+        for name in names:
+            weight = RF_ONE / (RF_ONE + config.mult_of(name))
+            total = total * (ring.one() + config.divisor_of(name).scale(weight))
+        return total
+
+    if selection.kind == "whole":
+        return factors(config.names)
+    if selection.kind == "closed":
+        core = selection.core
+        outside = factors(n for n in config.names if n not in core)
+        inside = factors(n for n in config.names if n in core)
+        return outside * (inside - ring.one())
+    total = ring.zero()
     for index in selection.strata:
-        term = config.ring.one()
+        if len(index) > ring.dim:
+            continue
+        term = ring.one()
         weight = RF_ONE
         for name in index:
             term = term * config.divisor_of(name)
@@ -167,31 +200,20 @@ def integrate_class(config: NCConfig, selection: StratumSelection = None) -> Cho
 
 def integrate_degree(config: DegreeConfig,
                      selection: StratumSelection = None) -> RationalFunction:
-    """Degree of the integral from Euler characteristics of open strata."""
+    """Degree of the integral from Euler characteristics of open strata.
+
+    An open stratum has nonzero Euler characteristic only below some key
+    of the closed-strata table, so only those index sets are visited.
+    """
     config.warn_if_outside()
-    if selection is None:
-        selection = StratumSelection.whole(config.names)
-    elif frozenset(selection.universe) != frozenset(config.names):
-        raise UniverseMismatch(
-            "selection universe differs from the configuration components"
-        )
-    total = RF_ZERO
-    for index in selection.strata:
-        chi = config.chi_of_open(index)
-        if chi == 0:
-            continue
-        weight = rf(chi)
-        for name in index:
-            weight = weight / (RF_ONE + config.mults[name])
-        total = total + weight
-    return total
-
-
-def _subsets(names):
-    out = [frozenset()]
-    for name in names:
-        out += [s | {name} for s in out]
-    return out
+    selection = _selection_for(config, selection)
+    below = set()
+    for key in config.chi_closed:
+        below |= _all_subsets(key)
+    return stratum_sum(
+        selection, config.mults,
+        ((index, config.chi_of_open(index)) for index in below),
+    )
 
 
 def alternate_form2(config: NCConfig) -> ChowClass:
@@ -200,7 +222,7 @@ def alternate_form2(config: NCConfig) -> ChowClass:
     ring = config.ring
     ctv = ring.require_tangent_chern()
     total = ring.zero()
-    for index in _subsets(config.names):
+    for index in _all_subsets(config.names):
         weight = RF_ONE
         cls = ctv
         for name in index:
@@ -222,7 +244,7 @@ def alternate_form3(config: NCConfig) -> ChowClass:
     for comp in config.components:
         prefactor = prefactor / (RF_ONE + comp.mult)
     total = ring.zero()
-    for index in _subsets(config.names):
+    for index in _all_subsets(config.names):
         weight = RF_ONE
         cls = ctv
         for name in index:
@@ -300,27 +322,13 @@ def csm_set(config: NCConfig, selection: StratumSelection = None,
 
 def ix_function(config: FiberedConfig,
                 selection: StratumSelection = None) -> ConstructibleFunction:
-    """The stratumwise constructible function of a fibered configuration."""
-    entries = []
-    for label in config.base_strata:
-        if selection is None:
-            entries.append((label, config.value_at(label)))
-        else:
-            if frozenset(selection.universe) != frozenset(config.names):
-                raise UniverseMismatch(
-                    "selection universe differs from the configuration components"
-                )
-            total = RF_ZERO
-            for index in selection.strata:
-                c = config.fiber.get((label, index))
-                if c is None or c == 0:
-                    continue
-                weight = rf(c)
-                for name in index:
-                    weight = weight / (RF_ONE + config.mults[name])
-                total = total + weight
-            entries.append((label, total))
-    return ConstructibleFunction(entries)
+    """The stratumwise constructible function of a fibered configuration,
+    over its stored selection unless another one is given."""
+    if selection is not None:
+        selection = _selection_for(config, selection)
+    return ConstructibleFunction(
+        (label, config.value_at(label, selection)) for label in config.base_strata
+    )
 
 
 def stringy_class(config: NCConfig, chain=None) -> ChowClass:

@@ -136,12 +136,6 @@ class Polynomial:
                 rem[i - d + j] -= q * oc
         return Polynomial(quot), Polynomial(rem)
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
     def div_exact(self, other: "Polynomial") -> "Polynomial":
         q, r = self.divmod(other)
         if not r.is_zero():
@@ -159,7 +153,7 @@ class Polynomial:
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a % b
+            a, b = b, a.divmod(b)[1]
         return a.monic()
 
     def derivative(self) -> "Polynomial":

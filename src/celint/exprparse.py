@@ -180,8 +180,6 @@ class RFAlgebra:
 
     @staticmethod
     def div(a, b):
-        from .errors import DivisionByZero
-
         if b.is_zero():
             raise ParseError("division by zero in expression")
         return a / b

@@ -142,31 +142,71 @@ def _all_subsets(names):
 
 
 class StratumSelection:
-    """A set of index sets over a fixed universe of component names."""
+    """A set of index sets over a fixed universe of component names.
 
-    __slots__ = ("universe", "strata")
+    A selection is kept in one canonical kind: "whole" (every index
+    set), "closed" (the index sets meeting a nonempty core L) or
+    "explicit" (a listed set of index sets). An explicit list equal to a
+    whole or closed selection is stored as that kind, so equality,
+    hashing and describe() see one form per set of strata. The strata
+    of a whole or closed selection are built only when asked for.
+    """
 
-    def __init__(self, universe, strata):
+    __slots__ = ("universe", "kind", "core", "_names", "_strata")
+
+    def __init__(self, universe, strata=(), kind="explicit", core=()):
         self.universe = tuple(universe)
         useen = set()
         for name in self.universe:
             if name in useen:
                 raise SchemaError(f"duplicate name {name!r} in selection universe")
             useen.add(name)
-        uset = frozenset(self.universe)
-        clean = set()
-        for s in strata:
-            s = frozenset(s)
-            if not s <= uset:
-                raise SchemaError(
-                    f"selection stratum {sorted(s)} leaves the universe"
-                )
-            clean.add(s)
-        self.strata = frozenset(clean)
+        self._names = uset = frozenset(self.universe)
+        self.core = frozenset(core)
+        self._strata = None
+        if kind == "explicit":
+            clean = set()
+            for s in strata:
+                s = frozenset(s)
+                if not s <= uset:
+                    raise SchemaError(
+                        f"selection stratum {sorted(s)} leaves the universe"
+                    )
+                clean.add(s)
+            self._strata = frozenset(clean)
+            kind, self.core = _classify(len(uset), self._strata)
+        elif kind == "closed":
+            if not self.core <= uset:
+                raise SchemaError("closed-set names must lie in the universe")
+            if not self.core:
+                kind, self._strata = "explicit", frozenset()
+        elif kind != "whole":
+            raise ValueError(f"unknown selection kind {kind!r}")
+        self.kind = kind
+
+    @property
+    def strata(self) -> frozenset:
+        """Every selected index set, built on first use and then kept."""
+        if self._strata is None:
+            subsets = _all_subsets(self.universe)
+            if self.kind == "closed":
+                subsets = frozenset(s for s in subsets if s & self.core)
+            self._strata = subsets
+        return self._strata
+
+    def __contains__(self, index) -> bool:
+        index = frozenset(index)
+        if not index <= self._names:
+            return False
+        if self.kind == "whole":
+            return True
+        if self.kind == "closed":
+            return bool(index & self.core)
+        return index in self._strata
 
     @classmethod
     def whole(cls, universe) -> "StratumSelection":
-        return cls(universe, _all_subsets(universe))
+        return cls(universe, kind="whole")
 
     @classmethod
     def empty(cls, universe) -> "StratumSelection":
@@ -174,18 +214,14 @@ class StratumSelection:
 
     @classmethod
     def from_closed(cls, universe, closed_names) -> "StratumSelection":
-        l = frozenset(closed_names)
-        if not l <= frozenset(universe):
-            raise SchemaError("closed-set names must lie in the universe")
-        strata = {s for s in _all_subsets(universe) if s & l}
-        return cls(universe, strata)
+        return cls(universe, kind="closed", core=closed_names)
 
     @classmethod
     def from_strata(cls, universe, strata) -> "StratumSelection":
         return cls(universe, strata)
 
     def _check(self, other: "StratumSelection"):
-        if frozenset(self.universe) != frozenset(other.universe):
+        if self._names != other._names:
             raise UniverseMismatch("selections have different component universes")
 
     def union(self, other: "StratumSelection") -> "StratumSelection":
@@ -206,29 +242,24 @@ class StratumSelection:
         )
 
     def is_whole(self) -> bool:
-        return len(self.strata) == 2 ** len(self.universe)
+        return self.kind == "whole"
 
     def is_empty(self) -> bool:
-        return not self.strata
+        return self.kind == "explicit" and not self._strata
 
     def closed_core(self):
         """Return L when this selection is exactly fromClosed(L), else None."""
-        l = frozenset(x for s in self.strata if len(s) == 1 for x in s)
-        if not l:
-            return None
-        if self.strata == frozenset(s for s in _all_subsets(self.universe) if s & l):
-            return l
-        return None
+        return self.core if self.kind == "closed" else None
+
+    def _key(self):
+        return (self._names, self.kind, self.core,
+                self._strata if self.kind == "explicit" else None)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, StratumSelection)
-            and frozenset(self.universe) == frozenset(other.universe)
-            and self.strata == other.strata
-        )
+        return isinstance(other, StratumSelection) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((frozenset(self.universe), self.strata))
+        return hash(self._key())
 
     def describe(self) -> str:
         if self.is_whole():
@@ -242,6 +273,35 @@ class StratumSelection:
         for s in sorted(self.strata, key=lambda s: (len(s), tuple(sorted(s)))):
             parts.append("{" + ",".join(sorted(s)) + "}")
         return "strata: " + "; ".join(parts)
+
+
+def _classify(count: int, strata: frozenset):
+    """The (kind, core) of an explicit list of distinct index sets over a
+    universe of count names, decided by counting: a list of 2^c sets is
+    every set, and a list of 2^c - 2^(c-|L|) sets that all meet L, the
+    names listed as singletons, is every set meeting L."""
+    if len(strata) == 1 << count:
+        return "whole", frozenset()
+    core = frozenset(x for s in strata if len(s) == 1 for x in s)
+    if (core and len(strata) == (1 << count) - (1 << (count - len(core)))
+            and all(s & core for s in strata)):
+        return "closed", core
+    return "explicit", frozenset()
+
+
+def stratum_sum(selection: StratumSelection, mults: dict,
+                terms) -> RationalFunction:
+    """Sum of c * prod_{i in I} 1/(1+m_i) over the (I, c) in terms whose
+    index set I the selection holds; terms name each index set once."""
+    total = rf(0)
+    for index, c in terms:
+        if c == 0 or index not in selection:
+            continue
+        weight = rf(c)
+        for name in index:
+            weight = weight / (rf(1) + mults[name])
+        total = total + weight
+    return total
 
 
 def chi_open(chi_closed: dict, index: frozenset) -> Fraction:
@@ -351,19 +411,17 @@ class FiberedConfig:
                 )
             self.fiber[(label, index)] = as_fraction(value)
 
-    def value_at(self, label: str) -> RationalFunction:
+    def value_at(self, label: str,
+                 selection: StratumSelection = None) -> RationalFunction:
+        """The weighted fiber sum at one stratum, over the stored
+        selection unless another one (on the same universe) is given."""
         if label not in self.base_strata:
             raise SchemaError(f"unknown stratum {label!r}")
-        total = rf(0)
-        for index in self.selection.strata:
-            c = self.fiber.get((label, index))
-            if c is None or c == 0:
-                continue
-            weight = rf(c)
-            for name in index:
-                weight = weight / (rf(1) + self.mults[name])
-            total = total + weight
-        return total
+        return stratum_sum(
+            self.selection if selection is None else selection,
+            self.mults,
+            ((index, c) for (lab, index), c in self.fiber.items() if lab == label),
+        )
 
     def values(self) -> dict:
         return {label: self.value_at(label) for label in self.base_strata}

@@ -296,6 +296,7 @@ def check_can_degree(configs, expected=None) -> CheckReport:
     """Degrees of the integrals of canonical representatives across
     birational models; the set must be a single value (equal to the
     expected one when given)."""
+    configs = list(configs)
     degrees = []
     for config in configs:
         value = integrate_class(config, None).degree()
@@ -310,7 +311,7 @@ def check_can_degree(configs, expected=None) -> CheckReport:
         rhs = lhs if len(observed) <= 1 else "{" + observed[0] + "}"
     return CheckReport(
         "can_degree", lhs == rhs, lhs, rhs,
-        f"{len(list(configs))} canonical model(s)",
+        f"{len(configs)} canonical model(s)",
     )
 
 

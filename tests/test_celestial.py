@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from celint import celestial, model
 from celint.celestial import (
     ConstructibleFunction,
     alternate_form2,
@@ -22,7 +24,7 @@ from celint.celestial import (
     zeta_class,
     zeta_degree,
 )
-from celint.chow import parse_class, ring_projective
+from celint.chow import parse_class, ring_blowup_point, ring_projective
 from celint.errors import (
     MissingDecomposition,
     NotADivisor,
@@ -37,6 +39,8 @@ from celint.exactnum import rf
 from celint.exprparse import parse_rf
 from celint.model import (
     Component,
+    DegreeConfig,
+    FiberedConfig,
     NCConfig,
     StratumSelection,
     load_chain,
@@ -394,3 +398,241 @@ def test_selection_linearity_random(strata):
             config, StratumSelection.from_strata(("D", "E1"), [s])
         )
     assert total == split
+
+
+# -- factored selections against the plain subset sum -----------------------
+
+P3 = ring_projective(3)
+BLOWN_UP_P2 = ring_blowup_point(P2)[0]
+MULTS = (rf(0), rf(Fraction(1, 2)), rf(3), RF_M, rf(2) * RF_M + rf(1))
+
+
+def all_subsets(names):
+    return [
+        frozenset(c) for r in range(len(names) + 1)
+        for c in combinations(names, r)
+    ]
+
+
+def reciprocal_weight(index, mults):
+    weight = rf(1)
+    for name in index:
+        weight = weight / (rf(1) + mults[name])
+    return weight
+
+
+def reference_class(config, strata):
+    """log_chern times the sum over strata of prod E_i/(1+m_i)."""
+    ring = config.ring
+    mults = {c.name: c.mult for c in config.components}
+    total = ring.zero()
+    for index in strata:
+        term = ring.one()
+        for name in index:
+            term = term * config.divisor_of(name)
+        total = total + term.scale(reciprocal_weight(index, mults))
+    return log_chern(config) * total
+
+
+def reference_chi_open(table, index):
+    return sum(
+        (Fraction(-1) ** (len(key) - len(index)) * value
+         for key, value in table.items() if index <= key),
+        Fraction(0),
+    )
+
+
+@st.composite
+def selection_pairs(draw):
+    """A universe of at most 8 names with multiplicities, and two
+    selections on it, each with its set of strata built by hand."""
+    names = tuple(f"E{i}" for i in range(draw(st.integers(0, 8))))
+    mults = {name: draw(st.sampled_from(MULTS)) for name in names}
+    subsets = all_subsets(names)
+
+    def one():
+        kind = draw(st.sampled_from(("whole", "empty", "closed", "explicit")))
+        if kind == "whole":
+            return StratumSelection.whole(names), set(subsets)
+        if kind == "closed" and names:
+            core = draw(st.one_of(
+                st.just(frozenset(names)),
+                st.frozensets(st.sampled_from(names), min_size=1),
+            ))
+            return (StratumSelection.from_closed(names, core),
+                    {s for s in subsets if s & core})
+        if kind == "empty":
+            return StratumSelection.empty(names), set()
+        listed = draw(st.sets(st.sampled_from(subsets), max_size=12))
+        return StratumSelection.from_strata(names, listed), listed
+
+    return names, mults, one(), one()
+
+
+def selection_results(first, second, subsets):
+    """Each selection and each result of the set operations, paired with
+    the strata it must hold."""
+    (a, ra), (b, rb) = first, second
+    return [
+        (a, ra), (b, rb),
+        (a.union(b), ra | rb),
+        (a.intersect(b), ra & rb),
+        (a.difference(b), ra - rb),
+        (a.complement(), set(subsets) - ra),
+    ]
+
+
+def check_canonical(sel, strata, names):
+    assert sel.strata == strata
+    listed = StratumSelection.from_strata(names, strata)
+    assert listed == sel and hash(listed) == hash(sel)
+    assert listed.describe() == sel.describe()
+
+
+@settings(max_examples=20, deadline=None)
+@given(selection_pairs(), st.sampled_from((P2, P3, BLOWN_UP_P2)), st.data())
+def test_integrate_class_matches_subset_sum(case, ring, data):
+    names, mults, first, second = case
+    divisors = [ring.basis_class(b) for b in ring.basis[1]]
+    divisors += [d.scale(rf(2)) for d in divisors]
+    config = NCConfig(ring, [
+        Component(name, mults[name], data.draw(st.sampled_from(divisors)))
+        for name in names
+    ])
+    for sel, strata in selection_results(first, second, all_subsets(names)):
+        check_canonical(sel, strata, names)
+        assert integrate_class(config, sel) == reference_class(config, strata)
+
+
+@settings(max_examples=25, deadline=None)
+@given(selection_pairs(), st.data())
+def test_degree_and_ix_match_subset_sum(case, data):
+    names, mults, first, second = case
+    subsets = all_subsets(names)
+    values = st.integers(-3, 5)
+    table = {frozenset(): Fraction(data.draw(values))}
+    for key in data.draw(st.lists(st.sampled_from(subsets), max_size=6)):
+        table[key] = Fraction(data.draw(values))
+    degree = DegreeConfig(names, mults, table)
+    fiber = {
+        (label, key): Fraction(data.draw(values))
+        for label in ("p", "q")
+        for key in data.draw(st.lists(st.sampled_from(subsets), max_size=6))
+    }
+    fibered = FiberedConfig(
+        names, mults, StratumSelection.whole(names), {"p": 1, "q": 2}, fiber
+    )
+    terms = {"degree": {}, "p": {}, "q": {}}
+    for s in subsets:
+        chi = reference_chi_open(table, s)
+        coefficients = (("degree", chi), ("p", fiber.get(("p", s), 0)),
+                        ("q", fiber.get(("q", s), 0)))
+        for column, c in coefficients:
+            if c:
+                terms[column][s] = rf(c) * reciprocal_weight(s, mults)
+
+    def expected(column, strata):
+        return sum((v for s, v in terms[column].items() if s in strata), rf(0))
+
+    for sel, strata in selection_results(first, second, subsets):
+        check_canonical(sel, strata, names)
+        assert integrate_degree(degree, sel) == expected("degree", strata)
+        fn = ix_function(fibered, sel)
+        assert fn.value("p") == expected("p", strata)
+        assert fn.value("q") == expected("q", strata)
+
+
+@pytest.mark.parametrize("core", [("A",), ("A", "C"), ("A", "B", "C")])
+def test_explicit_list_of_a_closed_selection_is_canonical(core):
+    names = ("A", "B", "C")
+    closed = StratumSelection.from_closed(names, core)
+    listed = StratumSelection.from_strata(
+        names, [s for s in all_subsets(names) if s & frozenset(core)]
+    )
+    assert listed.kind == "closed" and listed.core == frozenset(core)
+    assert listed == closed and hash(listed) == hash(closed)
+    assert listed.describe() == closed.describe() == "closed: " + ",".join(core)
+    whole = StratumSelection.from_strata(names, all_subsets(names))
+    assert whole.kind == "whole" and whole == StratumSelection.whole(names)
+    assert hash(whole) == hash(StratumSelection.whole(names))
+    assert whole.describe() == "whole"
+
+
+def truncated_product(factors, dim):
+    """Product of polynomials in h given as coefficient lists, cut at h^dim."""
+    out = [rf(1)] + [rf(0)] * dim
+    for f in factors:
+        out = [
+            sum((out[i] * f[k - i] for i in range(k + 1) if k - i < len(f)), rf(0))
+            for k in range(dim + 1)
+        ]
+    return out
+
+
+def geometric(d, dim):
+    return [rf(-d) ** k for k in range(dim + 1)]
+
+
+def test_whole_and_closed_selections_never_enumerate(monkeypatch):
+    real = model._all_subsets
+
+    def guarded(names):
+        names = tuple(names)
+        if len(names) > 4:
+            raise AssertionError(f"enumerated the subsets of {len(names)} names")
+        return real(names)
+
+    monkeypatch.setattr(model, "_all_subsets", guarded)
+    monkeypatch.setattr(celestial, "_all_subsets", guarded, raising=False)
+    weights = (rf(0), rf(Fraction(1, 2)), RF_M, rf(2))
+    for dim, count in ((2, 24), (4, 16)):
+        ring = ring_projective(dim)
+        h = ring.basis_class("h")
+        names = tuple(f"E{i}" for i in range(count))
+        degrees = {name: 1 + i % 3 for i, name in enumerate(names)}
+        mults = {name: weights[i % 4] for i, name in enumerate(names)}
+        config = NCConfig(ring, [
+            Component(name, mults[name], h.scale(rf(degrees[name])))
+            for name in names
+        ])
+        # c(TP^n) / prod (1 + d_i h), as a polynomial in h
+        log_part = truncated_product(
+            [[rf(1), rf(1)]] * (dim + 1)
+            + [geometric(degrees[n], dim) for n in names], dim,
+        )
+
+        def factor(name):
+            return [rf(1), rf(degrees[name]) / (rf(1) + mults[name])]
+
+        core = names[:3]
+        whole = truncated_product([log_part] + [factor(n) for n in names], dim)
+        inside = truncated_product([factor(n) for n in core], dim)
+        inside[0] = inside[0] - rf(1)
+        closed = truncated_product(
+            [log_part, inside] + [factor(n) for n in names if n not in core], dim
+        )
+        for sel, series in (
+            (StratumSelection.whole(names), whole),
+            (StratumSelection.from_closed(names, core), closed),
+        ):
+            cls = integrate_class(config, sel)
+            assert [cls.coefficient(n) for n in ring.all_names] == series
+
+    names = tuple(f"E{i}" for i in range(30))
+    mults = {name: weights[i % 4] for i, name in enumerate(names)}
+    table = {frozenset(): Fraction(7)}
+    for i, name in enumerate(names):
+        table[frozenset({name})] = Fraction(2 - i % 3)
+        if i % 5 == 0:
+            table[frozenset({name, names[i - 1]})] = Fraction(1)
+    config = DegreeConfig(names, mults, table, dim=2)
+    # the sum over open strata collapses to
+    # sum over keys K of chi(K) * prod_{i in K} (1/(1+m_i) - 1)
+    expected = rf(0)
+    for key, chi in table.items():
+        term = rf(chi)
+        for name in key:
+            term = term * (rf(1) / (rf(1) + mults[name]) - rf(1))
+        expected = expected + term
+    assert integrate_degree(config, StratumSelection.whole(names)) == expected
+    assert integrate_degree(config) == expected

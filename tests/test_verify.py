@@ -239,6 +239,12 @@ def test_check_can_degree_trio():
     assert check_can_degree(configs).passed
 
 
+def test_check_can_degree_counts_generator_input():
+    report = check_can_degree(NCConfig(k3_ring(d), []) for d in (4, 2, 0))
+    assert report.passed
+    assert report.context == "3 canonical model(s)"
+
+
 def test_check_can_degree_detects_outlier():
     odd = ring_literal({
         "dim": 2,
