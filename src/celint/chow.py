@@ -5,7 +5,8 @@ degree map on the top graded piece, and optionally a total tangent
 Chern class and a designated point class. Catalog constructors cover
 projective spaces, binary products of projective spaces, and iterated
 point blow-ups; anything else enters through a literal presentation
-that is validated exhaustively before use.
+that is validated exhaustively before use. The constructors live in
+`celint.catalog` and are re-exported here.
 
 Class coefficients live in Q(m), so one class value can carry a whole
 family of computations; evaluation at a rational m specializes it.
@@ -14,7 +15,6 @@ family of computations; evaluation at a rational m specializes it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import (
     DivisionByZero,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .exactnum import RF_ONE, RF_ZERO, RationalFunction, as_fraction, rf
 from .exprparse import parse_expression
-
 
 class ChowRing:
     """Graded basis presentation with rational structure constants.
@@ -229,9 +228,17 @@ class ChowClass:
             if not c.is_zero():
                 clean[name] = c
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _make(cls, ring: ChowRing, coeffs: dict) -> "ChowClass":
+        """Trusted constructor: names are basis names of ring and values
+        RationalFunctions; only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(
-            self, "_hash", hash((id(ring), frozenset(clean.items())))
+            self, "coeffs", {n: c for n, c in coeffs.items() if c.num.coeffs}
         )
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowClass is immutable")
@@ -254,17 +261,23 @@ class ChowClass:
         )
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((id(self.ring), frozenset(self.coeffs.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check_ring(other)
         out = dict(self.coeffs)
         for name, c in other.coeffs.items():
-            out[name] = out.get(name, RF_ZERO) + c
-        return ChowClass(self.ring, out)
+            prev = out.get(name)
+            out[name] = c if prev is None else prev + c
+        return ChowClass._make(self.ring, out)
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ring, {n: -c for n, c in self.coeffs.items()})
+        return ChowClass._make(self.ring, {n: -c for n, c in self.coeffs.items()})
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
@@ -273,20 +286,23 @@ class ChowClass:
         c = rf(c)
         if c.is_zero():
             return self.ring.zero()
-        return ChowClass(self.ring, {n: v * c for n, v in self.coeffs.items()})
+        return ChowClass._make(self.ring, {n: v * c for n, v in self.coeffs.items()})
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         self._check_ring(other)
+        mul_basis = self.ring.mul_basis
         out = {}
         for a, ca in self.coeffs.items():
             for b, cb in other.coeffs.items():
-                table = self.ring.mul_basis(a, b)
+                table = mul_basis(a, b)
                 if not table:
                     continue
                 cab = ca * cb
                 for name, f in table.items():
-                    out[name] = out.get(name, RF_ZERO) + cab * rf(f)
-        return ChowClass(self.ring, out)
+                    term = cab if f == 1 else cab * rf(f)
+                    prev = out.get(name)
+                    out[name] = term if prev is None else prev + term
+        return ChowClass._make(self.ring, out)
 
     def __pow__(self, k: int) -> "ChowClass":
         if k < 0:
@@ -301,13 +317,13 @@ class ChowClass:
         return result
 
     def graded_piece(self, codim: int) -> "ChowClass":
-        return ChowClass(self.ring, {
+        return ChowClass._make(self.ring, {
             n: c for n, c in self.coeffs.items()
             if self.ring.codim_of[n] == codim
         })
 
     def positive_part(self) -> "ChowClass":
-        return ChowClass(self.ring, {
+        return ChowClass._make(self.ring, {
             n: c for n, c in self.coeffs.items()
             if self.ring.codim_of[n] > 0
         })
@@ -504,319 +520,6 @@ def identity_map(ring: ChowRing) -> PushForwardMap:
     return PushForwardMap(ring, ring, ident, dict(ident), label="id")
 
 
-def ring_point() -> ChowRing:
-    return ChowRing(
-        dim=0,
-        basis=[["[V]"]],
-        products={},
-        degree_values={"[V]": Fraction(1)},
-        tangent_chern_coeffs={"[V]": Fraction(1)},
-        point="[V]",
-        kind=("projective", 0),
-    )
-
-
-def _proj_name(i: int) -> str:
-    if i == 0:
-        return "[V]"
-    return "h" if i == 1 else f"h^{i}"
-
-
-def ring_projective(n: int) -> ChowRing:
-    """Projective space of dimension n; n = 0 is the point ring."""
-    if n < 0:
-        raise UnsupportedCatalog("projective space needs dimension >= 0")
-    if n == 0:
-        return ring_point()
-    basis = [[_proj_name(i)] for i in range(n + 1)]
-    products = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i + j <= n:
-                products[(_proj_name(i), _proj_name(j))] = {
-                    _proj_name(i + j): Fraction(1)
-                }
-    chern = {_proj_name(k): Fraction(comb(n + 1, k)) for k in range(n + 1)}
-    return ChowRing(
-        dim=n,
-        basis=basis,
-        products=products,
-        degree_values={_proj_name(n): Fraction(1)},
-        tangent_chern_coeffs=chern,
-        point=_proj_name(n),
-        kind=("projective", n),
-    )
-
-
-def _product_name(i: int, j: int) -> str:
-    parts = []
-    if i > 0:
-        parts.append("h1" if i == 1 else f"h1^{i}")
-    if j > 0:
-        parts.append("h2" if j == 1 else f"h2^{j}")
-    return "*".join(parts) if parts else "[V]"
-
-
-def ring_product(r1: ChowRing, r2: ChowRing) -> ChowRing:
-    """Product of two projective spaces from the catalog."""
-    for r in (r1, r2):
-        if r.kind[0] != "projective":
-            raise UnsupportedCatalog(
-                "ring products are supported for projective factors only"
-            )
-    a, b = r1.dim, r2.dim
-    basis = []
-    for c in range(a + b + 2 - 1):
-        level = []
-        for i in range(min(c, a), max(0, c - b) - 1, -1):
-            level.append(_product_name(i, c - i))
-        basis.append(level)
-    products = {}
-    index = {}
-    for codim, level in enumerate(basis):
-        for name in level:
-            index[name] = len(index)
-    pairs = [(i, j) for i in range(a + 1) for j in range(b + 1) if i + j > 0]
-    for i1, j1 in pairs:
-        for i2, j2 in pairs:
-            n1, n2 = _product_name(i1, j1), _product_name(i2, j2)
-            if index[n1] > index[n2]:
-                continue
-            if i1 + i2 <= a and j1 + j2 <= b:
-                products[(n1, n2)] = {
-                    _product_name(i1 + i2, j1 + j2): Fraction(1)
-                }
-    chern = {}
-    for i in range(a + 1):
-        for j in range(b + 1):
-            chern[_product_name(i, j)] = Fraction(comb(a + 1, i) * comb(b + 1, j))
-    top = _product_name(a, b)
-    return ChowRing(
-        dim=a + b,
-        basis=basis,
-        products=products,
-        degree_values={top: Fraction(1)},
-        tangent_chern_coeffs=chern,
-        point=top,
-        kind=("product", (a, b)),
-    )
-
-
-def _epower_name(e: str, k: int) -> str:
-    return e if k == 1 else f"{e}^{k}"
-
-
-def ring_blowup_point(base: ChowRing):
-    """Blow up the designated point class of a catalog or literal ring.
-
-    Returns (new ring, blow-down push-forward, exceptional divisor
-    class). Every positive-codimension pulled-back class is orthogonal
-    to the exceptional powers, which is what makes iterated and
-    infinitely-near centers work with the same presentation; the top
-    power of the exceptional collapses onto the point class.
-    """
-    if base.point is None:
-        raise UnsupportedCatalog("blow-up needs a ring with a designated point class")
-    n = base.dim
-    if n == 0:
-        raise UnsupportedCatalog("cannot blow up a point of a zero-dimensional ring")
-    if n == 1:
-        m = identity_map(base)
-        return base, m, base.basis_class(base.point)
-    depth = base.meta.get("blowup_depth", 0) + 1
-    e = f"e{depth}"
-    if e in base.codim_of:
-        raise PresentationError(f"name {e!r} already used in the base ring")
-    basis = [list(level) for level in base.basis]
-    for k in range(1, n):
-        basis[k].append(_epower_name(e, k))
-    products = dict(base.products)
-    sign = Fraction((-1) ** (n - 1))
-    for i in range(1, n):
-        for j in range(i, n):
-            key = (_epower_name(e, i), _epower_name(e, j))
-            if i + j < n:
-                products[key] = {_epower_name(e, i + j): Fraction(1)}
-            elif i + j == n:
-                products[key] = {base.point: sign}
-    chern = None
-    if base.tangent_chern is not None:
-        chern = {
-            name: c.as_fraction() for name, c in base.tangent_chern.coeffs.items()
-        }
-        for k in range(1, n + 1):
-            coeff = Fraction((-1) ** (k - 1) * (comb(n, k - 1) - comb(n, k)))
-            if coeff == 0:
-                continue
-            if k < n:
-                name = _epower_name(e, k)
-                chern[name] = chern.get(name, Fraction(0)) + coeff
-            else:
-                chern[base.point] = chern.get(base.point, Fraction(0)) + coeff * sign
-    ring = ChowRing(
-        dim=n,
-        basis=basis,
-        products=products,
-        degree_values=dict(base.degree_values),
-        tangent_chern_coeffs=chern,
-        point=base.point,
-        kind=("blowup",) + base.kind,
-        meta={"blowup_depth": depth},
-    )
-    forward = {}
-    for name in base.all_names:
-        forward[name] = base.basis_class(name)
-    for k in range(1, n):
-        forward[_epower_name(e, k)] = base.zero()
-    pullback = {name: ring.basis_class(name) for name in base.all_names}
-    blowdown = PushForwardMap(
-        ring, base, forward, pullback,
-        label=f"blowdown_{e}",
-        meta={"exceptional": e},
-    )
-    return ring, blowdown, ring.basis_class(e)
-
-
-class _LinCombAlgebra:
-    """Expression values for literal ring data: constant + linear basis part."""
-
-    @staticmethod
-    def const(c: Fraction):
-        return (c, {})
-
-    @staticmethod
-    def name(name: str):
-        return (Fraction(0), {name: Fraction(1)})
-
-    @staticmethod
-    def add(a, b):
-        ca, va = a
-        cb, vb = b
-        out = dict(va)
-        for k, v in vb.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return (ca + cb, {k: v for k, v in out.items() if v != 0})
-
-    @staticmethod
-    def sub(a, b):
-        return _LinCombAlgebra.add(a, _LinCombAlgebra.neg(b))
-
-    @staticmethod
-    def neg(a):
-        c, v = a
-        return (-c, {k: -x for k, x in v.items()})
-
-    @staticmethod
-    def mul(a, b):
-        ca, va = a
-        cb, vb = b
-        if va and vb:
-            raise ParseError(
-                "literal ring data must be linear in the basis names"
-            )
-        if va:
-            return (ca * cb, {k: v * cb for k, v in va.items() if v * cb != 0})
-        return (ca * cb, {k: v * ca for k, v in vb.items() if v * ca != 0})
-
-    @staticmethod
-    def div(a, b):
-        cb, vb = b
-        if vb or cb == 0:
-            raise ParseError("literal ring data may divide by nonzero constants only")
-        ca, va = a
-        return (ca / cb, {k: v / cb for k, v in va.items()})
-
-    @staticmethod
-    def pow(a, k: int):
-        c, v = a
-        if v:
-            if k == 1:
-                return a
-            raise ParseError("literal ring data cannot raise basis names to powers")
-        if k < 0 and c == 0:
-            raise ParseError("zero to a negative power in literal ring data")
-        return (c**k, {})
-
-
-def _parse_lincomb(text: str, fundamental: str | None) -> dict:
-    c, vec = parse_expression(text, _LinCombAlgebra)
-    out = dict(vec)
-    if c != 0:
-        if fundamental is None:
-            raise ParseError("constant term is not allowed here")
-        out[fundamental] = out.get(fundamental, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def ring_literal(spec: dict) -> ChowRing:
-    """Build a ring from a literal JSON presentation, validating every axiom."""
-    if not isinstance(spec, dict):
-        raise PresentationError("literal ring presentation must be an object")
-    try:
-        dim = int(spec["dim"])
-        basis = spec["basis"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PresentationError(f"literal ring is missing valid dim/basis: {exc}")
-    if not isinstance(basis, list) or not all(isinstance(level, list) for level in basis):
-        raise PresentationError("literal basis must be a list of lists by codimension")
-    if len(basis) != dim + 1 or not basis or len(basis[0]) != 1:
-        raise PresentationError(
-            "literal basis must have dim+1 graded pieces with a single codimension-0 element"
-        )
-    fundamental = basis[0][0]
-    known = {name for level in basis for name in level}
-    index = {}
-    for level in basis:
-        for name in level:
-            index[name] = len(index)
-    products = {}
-    for key, value in (spec.get("products") or {}).items():
-        parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 2:
-            raise PresentationError(f"product key {key!r} must name two elements")
-        a, b = parts
-        for x in (a, b):
-            if x not in known:
-                raise PresentationError(f"product key {key!r} names unknown element {x!r}")
-        table = _parse_lincomb(str(value), fundamental) if value != 0 else {}
-        for name in table:
-            if name not in known:
-                raise PresentationError(
-                    f"product {key!r} result names unknown element {name!r}"
-                )
-        if fundamental in (a, b):
-            other = b if a == fundamental else a
-            if table != {other: Fraction(1)}:
-                raise PresentationError(f"product {key!r} breaks the unit law")
-            continue
-        if index[a] > index[b]:
-            a, b = b, a
-        if (a, b) in products and products[(a, b)] != table:
-            raise PresentationError(
-                f"products {a},{b} and {b},{a} disagree: commutativity fails"
-            )
-        products[(a, b)] = table
-    degree = {}
-    for name, value in (spec.get("degree") or {}).items():
-        try:
-            degree[name] = Fraction(value)
-        except (TypeError, ValueError):
-            raise PresentationError(f"degree of {name!r} must be rational")
-    chern = None
-    if spec.get("chern") is not None:
-        chern = _parse_lincomb(str(spec["chern"]), fundamental)
-    point = spec.get("point")
-    return ChowRing(
-        dim=dim,
-        basis=basis,
-        products=products,
-        degree_values=degree,
-        tangent_chern_coeffs=chern,
-        point=point,
-        kind=("literal",),
-    )
-
-
 class _ClassAlgebra:
     """Full expression algebra over one ring: names are basis elements or m."""
 
@@ -890,3 +593,16 @@ def proper_transform(f: PushForwardMap, divisor: ChowClass,
 
 def degree_of_class(c: ChowClass) -> RationalFunction:
     return c.degree()
+
+
+# The constructors build on the classes above. They sit in a module of
+# their own so that no module is large: without a bytecode cache each
+# module is compiled from source, and compiling a large one holds more
+# memory at once than compiling it in two halves.
+from .catalog import (  # noqa: E402
+    ring_blowup_point,
+    ring_literal,
+    ring_point,
+    ring_product,
+    ring_projective,
+)

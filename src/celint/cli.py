@@ -242,7 +242,7 @@ def _cmd_verify(args) -> int:
     summary = {}
     failed_total = 0
     for name in names:
-        reports = verify.run_suite(name, args.instances, seed, args.jobs)
+        reports = verify.run_suite(name, args.instances, seed)
         failures = [r for r in reports if not r.passed]
         failed_total += len(failures)
         summary[name] = {
@@ -256,6 +256,9 @@ def _cmd_verify(args) -> int:
         if args.format != "json":
             for r in reports:
                 print(r.line())
+                if not r.passed:
+                    print(f"  lhs: {r.lhs}")
+                    print(f"  rhs: {r.rhs}")
             print(
                 f"suite {name}: {len(reports) - len(failures)}/{len(reports)} "
                 f"passed (seed {seed})"
@@ -329,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", help="suite name or all")
     p_ver.add_argument("--instances", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=_cmd_verify)
 

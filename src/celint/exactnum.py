@@ -6,6 +6,16 @@ Values are immutable and canonical. A polynomial never stores trailing
 zero coefficients, and a rational function is always reduced with a
 monic denominator, so structural equality coincides with equality of
 values.
+
+The arithmetic keeps that invariant without re-checking it where it
+holds by construction. `Polynomial._make` takes a list that already
+holds `Fraction`s and only strips trailing zeros; `RationalFunction._make`
+takes a numerator and denominator that are already coprime, with the
+denominator monic (or the numerator zero and the denominator 1). A
+monic constant denominator is 1, which is coprime to every numerator,
+so sums and products of two polynomial values, negations and
+nonnegative powers are built through it without a gcd. Hashes are
+computed on first use.
 """
 
 from __future__ import annotations
@@ -34,6 +44,10 @@ def _fraction_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+_set = object.__setattr__
+_ZERO = Fraction(0)
+
+
 class Polynomial:
     """Dense univariate polynomial over Q, coefficients stored by ascending exponent."""
 
@@ -43,8 +57,16 @@ class Polynomial:
         cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_hash", hash(self.coeffs))
+        _set(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _make(cls, cs: list) -> "Polynomial":
+        """Trusted constructor: cs holds Fractions only; strips trailing zeros."""
+        while cs and not cs[-1]:
+            cs.pop()
+        self = object.__new__(cls)
+        _set(self, "coeffs", tuple(cs))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -70,7 +92,12 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            _set(self, "_hash", h)
+            return h
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -79,10 +106,10 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return Polynomial._make(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._make([-c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -91,19 +118,21 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO_POLY
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        if len(a) == 1 and len(b) == 1:
+            return Polynomial._make([a[0] * b[0]])
+        out = [_ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
+            if not ca:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return Polynomial(out)
+        return Polynomial._make(out)
 
     def scale(self, c) -> "Polynomial":
         c = as_fraction(c)
         if c == 0:
             return ZERO_POLY
-        return Polynomial(tuple(x * c for x in self.coeffs))
+        return Polynomial._make([x * c for x in self.coeffs])
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -125,7 +154,7 @@ class Polynomial:
         lead = other.leading()
         if len(rem) - 1 < d:
             return ZERO_POLY, self
-        quot = [Fraction(0)] * (len(rem) - d)
+        quot = [_ZERO] * (len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
             if c == 0:
@@ -134,7 +163,7 @@ class Polynomial:
             quot[i - d] = q
             for j, oc in enumerate(other.coeffs):
                 rem[i - d + j] -= q * oc
-        return Polynomial(quot), Polynomial(rem)
+        return Polynomial._make(quot), Polynomial._make(rem)
 
     def div_exact(self, other: "Polynomial") -> "Polynomial":
         q, r = self.divmod(other)
@@ -157,7 +186,7 @@ class Polynomial:
         return a.monic()
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(c * k for k, c in enumerate(self.coeffs) if k))
+        return Polynomial._make([c * k for k, c in enumerate(self.coeffs) if k])
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
@@ -234,7 +263,8 @@ class RationalFunction:
         if num.is_zero():
             num, den = ZERO_POLY, ONE_POLY
         else:
-            if num.degree > 0 or den.degree > 0:
+            # a constant denominator is coprime to every numerator
+            if den.degree > 0:
                 g = num.gcd(den)
                 if g.degree > 0:
                     num = num.div_exact(g)
@@ -243,9 +273,16 @@ class RationalFunction:
             if lead != 1:
                 num = num.scale(1 / lead)
                 den = den.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash((num, den)))
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    @classmethod
+    def _make(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Trusted constructor: num and den coprime with den monic, or num zero and den 1."""
+        self = object.__new__(cls)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -262,7 +299,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den == ONE_POLY
+        return len(self.num.coeffs) <= 1 and len(self.den.coeffs) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -277,9 +314,20 @@ class RationalFunction:
         )
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.num, self.den))
+            _set(self, "_hash", h)
+            return h
+
+    # A canonical denominator of degree 0 is 1, so len(den.coeffs) == 1
+    # tests for a polynomial value, whose sums and products need no gcd.
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
+            num = self.num + other.num
+            return RationalFunction._make(num, ONE_POLY) if num.coeffs else RF_ZERO
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
@@ -287,7 +335,7 @@ class RationalFunction:
         )
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._make(-self.num, self.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
@@ -295,6 +343,8 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.is_zero() or other.is_zero():
             return RF_ZERO
+        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
+            return RationalFunction._make(self.num * other.num, ONE_POLY)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
@@ -307,7 +357,8 @@ class RationalFunction:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
             return RationalFunction(self.den ** (-k), self.num ** (-k))
-        return RationalFunction(self.num**k, self.den**k)
+        # powers of coprime polynomials stay coprime, and of a monic one monic
+        return RationalFunction._make(self.num**k, self.den**k)
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)

@@ -13,6 +13,17 @@ Grammar (left associative, ^ binds tightest):
     factor := ('-' | '+') factor | power
     power  := atom ('^' ('-')? INT)?
     atom   := INT | NAME | '[' NAME ']' | '(' expr ')'
+
+Input size is bounded before anything is computed. The parser carries
+for each subexpression a bound on its degree: atoms count 1, the four
+binary operations add the bounds of their operands (a sum of fractions
+multiplies their denominators), and a power multiplies its base's bound
+by the exponent. An operation whose bound exceeds MAX_DEGREE raises
+ParseError, so an exponent literal above MAX_DEGREE is rejected too. The
+bound covers the degrees in m of the numerator and denominator of a
+rational function, and the number of factors in a product of ring
+elements. Exact gcds of rational functions grow steeply with degree:
+near the limit a parse takes a fraction of a second.
 """
 
 from __future__ import annotations
@@ -25,6 +36,8 @@ from .exactnum import RF_M, RationalFunction
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | set("0123456789")
 _DIGITS = set("0123456789")
+
+MAX_DEGREE = 64
 
 
 def _tokenize(text: str):
@@ -92,53 +105,72 @@ class _Parser:
         return tok
 
     def parse(self):
-        value = self.expr()
+        value, _ = self.expr()
         if self.peek() != "end":
             tok = self.tokens[self.pos]
             raise ParseError(f"trailing input at {tok[1]!r} in {self.text!r}")
         return value
 
+    # Each rule returns (value, degree bound); see the module docstring.
+
+    def bounded(self, degree):
+        if degree > MAX_DEGREE:
+            raise ParseError(
+                f"expression degree bound {degree} is above the limit "
+                f"{MAX_DEGREE} in {self.text!r}"
+            )
+        return degree
+
+    def integer(self, text):
+        try:
+            return int(text)
+        except ValueError:  # above the interpreter's digit limit
+            raise ParseError(f"integer literal of {len(text)} digits is too long")
+
     def expr(self):
-        value = self.term()
+        value, degree = self.term()
         while self.peek() in ("+", "-"):
             op = self.advance()[0]
-            rhs = self.term()
+            rhs, rdeg = self.term()
+            degree = self.bounded(degree + rdeg)
             value = self.algebra.add(value, rhs) if op == "+" else self.algebra.sub(value, rhs)
-        return value
+        return value, degree
 
     def term(self):
-        value = self.factor()
+        value, degree = self.factor()
         while self.peek() in ("*", "/"):
             op = self.advance()[0]
-            rhs = self.factor()
+            rhs, rdeg = self.factor()
+            degree = self.bounded(degree + rdeg)
             value = self.algebra.mul(value, rhs) if op == "*" else self.algebra.div(value, rhs)
-        return value
+        return value, degree
 
     def factor(self):
         if self.peek() in ("+", "-"):
             op = self.advance()[0]
-            value = self.factor()
-            return self.algebra.neg(value) if op == "-" else value
+            value, degree = self.factor()
+            return (self.algebra.neg(value) if op == "-" else value), degree
         return self.power()
 
     def power(self):
-        value = self.atom()
+        value, degree = self.atom()
         if self.peek() == "^":
             self.advance()
             sign = 1
             if self.peek() == "-":
                 self.advance()
                 sign = -1
-            tok = self.expect("int")
-            value = self.algebra.pow(value, sign * int(tok[1]))
-        return value
+            k = self.integer(self.expect("int")[1])
+            degree = self.bounded(degree * k)
+            value = self.algebra.pow(value, sign * k)
+        return value, degree
 
     def atom(self):
         kind, text = self.advance()
         if kind == "int":
-            return self.algebra.const(Fraction(int(text)))
+            return self.algebra.const(Fraction(self.integer(text))), 1
         if kind == "name":
-            return self.algebra.name(text)
+            return self.algebra.name(text), 1
         if kind == "(":
             value = self.expr()
             self.expect(")")

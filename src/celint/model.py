@@ -5,27 +5,19 @@ with a multiplicity in Q(m). A stratum selection names the index sets
 I whose open strata E_I participate in an integral. Both kinds of data
 can be rewritten under a point blow-up without changing any invariant;
 the transports here implement that rewriting at class level and, for
-surfaces, at the level of Euler characteristic tables alone.
+surfaces, at the level of Euler characteristic tables alone. Model
+files are read by `celint.modelfile`, whose loaders are re-exported
+here.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .chow import (
-    ChowClass,
-    ChowRing,
-    PushForwardMap,
-    parse_class,
-    ring_blowup_point,
-    ring_literal,
-    ring_point,
-    ring_product,
-    ring_projective,
-)
+from .chow import ChowClass, ChowRing, ring_blowup_point
 from .errors import (
     NormalCrossingViolation,
     NotADivisor,
@@ -36,22 +28,19 @@ from .errors import (
     UniverseMismatch,
 )
 from .exactnum import RF_M, RationalFunction, as_fraction, rf
-from .exprparse import parse_rf
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple(
+        "Component", "name mult divisor decomposition", defaults=(None, None))):
     """One labeled normal-crossing divisor component.
 
-    divisor is None for configurations that carry no ring (degree or
-    fibered data). decomposition, when present, records mult as
-    a*m + k with both parts rational constants.
+    mult is a RationalFunction. divisor (a ChowClass) is None for
+    configurations that carry no ring (degree or fibered data).
+    decomposition, when present, records mult as a*m + k with both
+    parts rational constants, as the pair (a, k).
     """
 
-    name: str
-    mult: RationalFunction
-    divisor: ChowClass | None = None
-    decomposition: tuple[Fraction, Fraction] | None = None
+    __slots__ = ()
 
 
 def _check_mult(name: str, mult: RationalFunction):
@@ -237,6 +226,10 @@ class StratumSelection:
         return StratumSelection(self.universe, self.strata - other.strata)
 
     def complement(self) -> "StratumSelection":
+        if self.is_whole():
+            return StratumSelection.empty(self.universe)
+        if self.is_empty():
+            return StratumSelection.whole(self.universe)
         return StratumSelection(
             self.universe, _all_subsets(self.universe) - self.strata
         )
@@ -434,19 +427,27 @@ class FiberedConfig:
         return total
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    """Blow up a point lying on exactly the named components."""
+class BlowupStep(namedtuple("BlowupStep", "contains new_name")):
+    """Blow up a point lying on exactly the named components (a frozenset)."""
 
-    contains: frozenset
-    new_name: str
+    __slots__ = ()
 
 
 def _transport_selection(selection: StratumSelection, contains: frozenset,
                          new_name: str) -> StratumSelection:
+    """The selection after blowing up a point of the stratum `contains`:
+    the old index sets, plus every set with the new name when the
+    center's stratum is selected. So whole stays whole, and closed(L)
+    with the center meeting L becomes closed(L + new)."""
     universe = tuple(selection.universe) + (new_name,)
+    center_selected = frozenset(contains) in selection
+    if selection.is_whole():
+        return StratumSelection.whole(universe)
+    core = selection.closed_core()
+    if core is not None and center_selected:
+        return StratumSelection.from_closed(universe, core | {new_name})
     strata = set(selection.strata)
-    if frozenset(contains) in selection.strata:
+    if center_selected:
         old = tuple(selection.universe)
         for s in _all_subsets(old):
             strata.add(s | {new_name})
@@ -542,262 +543,14 @@ def blowup_transport_degree(config: DegreeConfig, selection: StratumSelection,
     return new_config, new_selection
 
 
-def _key_to_index(key: str) -> frozenset:
-    key = key.strip()
-    if not key:
-        return frozenset()
-    return frozenset(part.strip() for part in key.split(","))
-
-
-def load_mult(value):
-    """Multiplicity from JSON: a number, an a/k pair, or an expression string.
-
-    Returns (mult, decomposition); only the pair form records a
-    decomposition mult = a*m + k.
-    """
-    if isinstance(value, bool):
-        raise SchemaError("multiplicity cannot be a boolean")
-    if isinstance(value, (int, float, str)) and not isinstance(value, str):
-        try:
-            return rf(as_fraction(value)), None
-        except (TypeError, ValueError):
-            raise SchemaError(f"invalid multiplicity {value!r}")
-    if isinstance(value, str):
-        try:
-            return parse_rf(value), None
-        except Exception as exc:
-            raise SchemaError(f"invalid multiplicity expression {value!r}: {exc}")
-    if isinstance(value, dict) and set(value) == {"a", "k"}:
-        try:
-            a = as_fraction(value["a"])
-            k = as_fraction(value["k"])
-        except (TypeError, ValueError):
-            raise SchemaError(f"invalid multiplicity pair {value!r}")
-        return rf(a) * RF_M + rf(k), (a, k)
-    raise SchemaError(f"invalid multiplicity {value!r}")
-
-
-def load_ring(obj):
-    """Build a catalog or literal ring; returns (ring, construction maps).
-
-    Construction maps are the blow-down maps of an iterated blow-up,
-    listed from the final ring toward the base, so pushing a class
-    through them in order lands it on the base.
-    """
-    if not isinstance(obj, dict):
-        raise SchemaError("ring description must be an object")
-    catalog = obj.get("catalog")
-    if catalog == "point":
-        return ring_point(), []
-    if catalog == "projective":
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError("projective ring needs an integer field n")
-        return ring_projective(n), []
-    if catalog == "product":
-        factors = obj.get("factors")
-        if (not isinstance(factors, list)) or len(factors) != 2:
-            raise SchemaError("product ring needs a two-element factors list")
-        try:
-            dims = [int(x) for x in factors]
-        except (TypeError, ValueError):
-            raise SchemaError("product factors must be integers")
-        return ring_product(ring_projective(dims[0]), ring_projective(dims[1])), []
-    if catalog == "blowup_point":
-        base_obj = obj.get("base")
-        if base_obj is None:
-            raise SchemaError("blow-up ring needs a base ring")
-        base, maps = load_ring(base_obj)
-        count = obj.get("count", 1)
-        try:
-            count = int(count)
-        except (TypeError, ValueError):
-            raise SchemaError("blow-up count must be an integer")
-        if count < 1:
-            raise SchemaError("blow-up count must be positive")
-        ring = base
-        for _ in range(count):
-            ring, blowdown, _ = ring_blowup_point(ring)
-            maps = [blowdown] + maps
-        return ring, maps
-    if catalog == "literal":
-        presentation = obj.get("presentation")
-        if presentation is None:
-            raise SchemaError("literal ring needs a presentation object")
-        return ring_literal(presentation), []
-    raise SchemaError(f"unknown ring catalog {catalog!r}")
-
-
-def load_selection(obj, names) -> StratumSelection:
-    if obj is None:
-        return StratumSelection.whole(names)
-    if not isinstance(obj, dict):
-        raise SchemaError("selection must be an object")
-    keys = set(obj)
-    if keys == {"whole"}:
-        if obj["whole"] is not True:
-            raise SchemaError("selection field whole must be true")
-        return StratumSelection.whole(names)
-    if keys == {"empty"}:
-        if obj["empty"] is not True:
-            raise SchemaError("selection field empty must be true")
-        return StratumSelection.empty(names)
-    if keys == {"closed"}:
-        closed = obj["closed"]
-        if not isinstance(closed, list):
-            raise SchemaError("selection field closed must be a list of names")
-        return StratumSelection.from_closed(names, closed)
-    if keys == {"strata"}:
-        strata = obj["strata"]
-        if not isinstance(strata, list) or not all(isinstance(s, list) for s in strata):
-            raise SchemaError("selection field strata must be a list of name lists")
-        return StratumSelection.from_strata(names, [frozenset(s) for s in strata])
-    raise SchemaError(f"unknown selection form {sorted(keys)}")
-
-
-def load_component(obj, ring) -> Component:
-    if not isinstance(obj, dict) or "name" not in obj or "mult" not in obj:
-        raise SchemaError("component needs name and mult fields")
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
-        raise SchemaError("component name must be a nonempty string")
-    mult, decomposition = load_mult(obj["mult"])
-    divisor = None
-    if "class" in obj and obj["class"] is not None:
-        if ring is None:
-            raise SchemaError(
-                f"component {name!r} has a class but the model has no ring"
-            )
-        divisor = parse_class(str(obj["class"]), ring)
-    elif ring is not None:
-        raise SchemaError(f"component {name!r} is missing its class")
-    return Component(name, mult, divisor, decomposition)
-
-
-def load_chain(obj, source: ChowRing, construction):
-    """A chain is "construction" or one literal map or a list of either."""
-    if obj == "construction":
-        if construction is None:
-            raise SchemaError("this model's ring has no construction chain")
-        return list(construction)
-    if isinstance(obj, dict):
-        obj = [obj]
-    if not isinstance(obj, list):
-        raise SchemaError("chain must be \"construction\", a map object, or a list")
-    maps = []
-    current = source
-    for entry in obj:
-        if entry == "construction":
-            raise SchemaError("\"construction\" cannot be mixed into a literal chain")
-        if not isinstance(entry, dict):
-            raise SchemaError("chain entries must be map objects")
-        target_obj = entry.get("target")
-        if target_obj is None:
-            raise SchemaError("chain map needs a target ring")
-        target, _ = load_ring(target_obj)
-        forward_obj = entry.get("forward") or {}
-        pullback_obj = entry.get("pullback") or {}
-        forward = {
-            name: parse_class(str(text), target)
-            for name, text in forward_obj.items()
-        }
-        pullback = {
-            name: parse_class(str(text), current)
-            for name, text in pullback_obj.items()
-        }
-        maps.append(PushForwardMap(current, target, forward, pullback,
-                                   label=entry.get("label", "")))
-        current = target
-    return maps
-
-
-class LoadedModel:
-    """Everything a model file can carry, already validated."""
-
-    __slots__ = (
-        "ring", "construction", "components", "config", "selection",
-        "degree_data", "fibered", "chains", "raw",
-    )
-
-    def __init__(self, ring, construction, components, config, selection,
-                 degree_data, fibered, chains, raw):
-        self.ring = ring
-        self.construction = construction
-        self.components = components
-        self.config = config
-        self.selection = selection
-        self.degree_data = degree_data
-        self.fibered = fibered
-        self.chains = chains
-        self.raw = raw
-
-
-def load_model(obj) -> LoadedModel:
-    """Validate a parsed model file and build every structure it describes."""
-    if not isinstance(obj, dict):
-        raise SchemaError("model file must hold a JSON object")
-    ring = None
-    construction = None
-    if obj.get("ring") is not None:
-        ring, construction = load_ring(obj["ring"])
-    components_obj = obj.get("components", [])
-    if not isinstance(components_obj, list):
-        raise SchemaError("components must be a list")
-    components = tuple(load_component(c, ring) for c in components_obj)
-    names = tuple(c.name for c in components)
-    if len(set(names)) != len(names):
-        raise SchemaError("duplicate component name in model")
-    config = None
-    if ring is not None:
-        config = NCConfig(ring, components)
-    selection = load_selection(obj.get("selection"), names)
-    degree_data = None
-    if obj.get("chi_closed") is not None:
-        chi_obj = obj["chi_closed"]
-        if not isinstance(chi_obj, dict):
-            raise SchemaError("chi_closed must be an object")
-        table = {_key_to_index(k): v for k, v in chi_obj.items()}
-        dim = ring.dim if ring is not None else obj.get("dim")
-        decomps = {
-            c.name: c.decomposition for c in components
-            if c.decomposition is not None
-        }
-        degree_data = DegreeConfig(
-            names,
-            {c.name: c.mult for c in components},
-            table,
-            dim=dim,
-            decompositions=decomps,
-        )
-    fibered = None
-    if obj.get("base_strata") is not None or obj.get("fiber") is not None:
-        base_obj = obj.get("base_strata")
-        fiber_obj = obj.get("fiber")
-        if not isinstance(base_obj, dict) or not isinstance(fiber_obj, dict):
-            raise SchemaError("fibered data needs base_strata and fiber objects")
-        fiber = {}
-        for label, row in fiber_obj.items():
-            if not isinstance(row, dict):
-                raise SchemaError(f"fiber row for {label!r} must be an object")
-            for key, value in row.items():
-                fiber[(label, _key_to_index(key))] = value
-        fibered = FiberedConfig(
-            names,
-            {c.name: c.mult for c in components},
-            selection,
-            base_obj,
-            fiber,
-        )
-    chains = {}
-    chains_obj = obj.get("chains") or {}
-    if not isinstance(chains_obj, dict):
-        raise SchemaError("chains must be an object of named chains")
-    for label, chain_obj in chains_obj.items():
-        if ring is None:
-            raise SchemaError("chains require a ring")
-        chains[label] = load_chain(chain_obj, ring, construction)
-    return LoadedModel(
-        ring, construction, components, config, selection,
-        degree_data, fibered, chains, obj,
-    )
+# The loaders build on the classes above; see the note at the end of
+# celint.chow on why they sit in a module of their own.
+from .modelfile import (  # noqa: E402
+    LoadedModel,
+    load_chain,
+    load_component,
+    load_model,
+    load_mult,
+    load_ring,
+    load_selection,
+)

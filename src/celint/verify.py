@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .celestial import (
@@ -39,13 +38,10 @@ DEFAULT_SEED = 20260818
 SEED_ENV = "CELINT_SEED"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    lhs: str
-    rhs: str
-    context: str
+class CheckReport(namedtuple("CheckReport", "name passed lhs rhs context")):
+    """One checked identity: both sides rendered, and whether they agree."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -525,12 +521,11 @@ def default_seed() -> int:
     return DEFAULT_SEED
 
 
-def run_suite(name: str, instances: int = 100, seed: int = None,
-              jobs: int = 1) -> list:
+def run_suite(name: str, instances: int = 100, seed: int = None) -> list:
     """Run one named suite; returns the flat list of reports.
 
     Instance seeds derive deterministically from the suite seed, so
-    results are reproducible and independent of the job count.
+    results are reproducible.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
@@ -540,26 +535,13 @@ def run_suite(name: str, instances: int = 100, seed: int = None,
     master = random.Random(f"{seed}:{name}")
     instance_seeds = [master.randrange(2**63) for _ in range(instances)]
 
-    def run_one(instance_seed):
+    out = []
+    for instance_seed in instance_seeds:
         result = instance_fn(random.Random(instance_seed))
-        reports = result if isinstance(result, list) else [result]
-        return [
-            CheckReport(
-                r.name, r.passed, r.lhs, r.rhs,
-                f"{r.context} [seed {instance_seed}]",
-            )
-            for r in reports
-        ]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(run_one, instance_seeds))
-    else:
-        nested = [run_one(s) for s in instance_seeds]
-    return [report for group in nested for report in group]
+        for r in result if isinstance(result, list) else [result]:
+            out.append(r._replace(context=f"{r.context} [seed {instance_seed}]"))
+    return out
 
 
-def run_all(instances: int = 100, seed: int = None, jobs: int = 1) -> dict:
-    return {
-        name: run_suite(name, instances, seed, jobs) for name in sorted(SUITES)
-    }
+def run_all(instances: int = 100, seed: int = None) -> dict:
+    return {name: run_suite(name, instances, seed) for name in sorted(SUITES)}

@@ -374,3 +374,62 @@ def test_blowdown_projection_formula(a):
     lifted = down.pull(a)
     assert down.push(lifted * (bl.one() + e)) == a * P2.one()
     assert down.push(lifted) == a
+
+
+# ChowClass.__mul__ adds a coefficient product directly when the
+# structure constant is 1; the reference multiplies by rf(f) every time.
+
+
+def reference_product(x, y):
+    ring = x.ring
+    out = {}
+    for a, ca in x.coeffs.items():
+        for b, cb in y.coeffs.items():
+            for name, f in ring.mul_basis(a, b).items():
+                out[name] = out.get(name, rf(0)) + ca * cb * rf(f)
+    return ChowClass(ring, out)
+
+
+# in dimension 2, e_i^2 is minus the point class; in dimension 3 every
+# structure constant of the blow-up is 1
+BLOWN_UP = [
+    ring_blowup_point(ring_blowup_point(P2)[0])[0],
+    ring_blowup_point(ring_blowup_point(P3)[0])[0],
+]
+COEFF_TEXTS = ("0", "1", "-1", "2", "-3/2", "m", "1 + m", "m/(1 + m)",
+               "(2 - m)/(3 + m)^2", "1/(1 + 2*m)")
+
+
+@st.composite
+def blown_up_pairs(draw):
+    ring = draw(st.sampled_from(BLOWN_UP))
+
+    def cls():
+        return ChowClass(ring, {
+            name: parse_rf(draw(st.sampled_from(COEFF_TEXTS)))
+            for name in ring.all_names
+        })
+
+    return cls(), cls()
+
+
+def test_blown_up_rings_have_unit_and_other_structure_constants():
+    constants = {
+        f for ring in BLOWN_UP for table in ring.products.values()
+        for f in table.values()
+    }
+    assert constants == {1, -1}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(blown_up_pairs())
+def test_class_product_matches_reference_product(pair):
+    x, y = pair
+    product = x * y
+    expected = reference_product(x, y)
+    assert product == expected
+    assert hash(product) == hash(expected)
+    assert product.render() == expected.render()
+    assert all(not c.is_zero() for c in product.coeffs.values())
+    assert x * y - y * x == x.ring.zero()
+    assert (x + y) * y == x * y + y * y

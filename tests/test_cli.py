@@ -241,6 +241,25 @@ def test_exit_three_on_verification_failure(monkeypatch, capsys):
     assert "suite key: 0/2 passed (seed 7)" in out
 
 
+def test_verify_text_prints_both_sides_of_a_failure(monkeypatch, capsys):
+    seeds = iter(range(2))
+
+    def half_broken(rng):
+        passed = next(seeds) == 0
+        return CheckReport("key", passed, "lhs side", "rhs side", "ctx")
+
+    monkeypatch.setitem(verify.SUITES, "key", half_broken)
+    code, out, _ = run_cli(
+        capsys, "verify", "key", "--instances", "2", "--seed", "7"
+    )
+    assert code == 3
+    lines = out.splitlines()
+    fail = next(i for i, line in enumerate(lines) if line.startswith("[FAIL]"))
+    assert lines[fail + 1:fail + 3] == ["  lhs: lhs side", "  rhs: rhs side"]
+    passing = next(i for i, line in enumerate(lines) if line.startswith("[pass]"))
+    assert not lines[passing + 1].startswith("  lhs:")
+
+
 def test_verify_text_and_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "key", "--instances", "2", "--seed", "7"

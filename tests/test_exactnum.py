@@ -154,6 +154,18 @@ def test_parse_errors():
         parse_rf(17)
 
 
+def test_parse_rejects_large_exponents_before_computing():
+    for bad in ("(1+m)^3000", "((1+m)^64)^64", "m^65", "(1+m)^" + "9" * 5000,
+                "+".join(["(1+m)"] * 40), "*".join(["(1+m)"] * 40)):
+        with pytest.raises(ParseError):
+            parse_rf(bad)
+    with pytest.raises(ParseError):
+        parse_rf("9" * 5000)
+    assert parse_rf("m^64").num.degree == 64
+    assert parse_rf("(1+m)^32") == parse_rf("(1+m)^16") ** 2
+    assert parse_rf("2^-3") == rf(Fraction(1, 8))
+
+
 def test_rational_poles_plain():
     report = rational_poles(parse_rf("(15 + 6*m)/(5 + 6*m)"))
     assert report.poles == frozenset({Fraction(-5, 6)})
@@ -219,3 +231,129 @@ def test_evaluation_is_a_homomorphism(f, g, x):
 @given(rational_functions())
 def test_render_round_trips_exactly(f):
     assert parse_rf(f.render()) == f
+
+
+# Differential tests: the trusted constructors and fast paths of the
+# arithmetic against the full constructor, which reduces by a gcd and
+# normalizes the denominator.
+
+
+FACTORS = (poly(1, 1), poly(0, 1), poly(2, -1), poly(1, 2), poly(1, 0, 1))
+
+
+@st.composite
+def factored_polys(draw, min_size):
+    """Products from a small pool of factors, so common factors are frequent."""
+    out = Polynomial([draw(fraction_st.filter(bool))])
+    for f in draw(st.lists(st.sampled_from(FACTORS), min_size=min_size, max_size=2)):
+        out = out * f
+    return out
+
+
+@st.composite
+def mixed_rational_functions(draw):
+    """Constants, polynomials and proper fractions, so every fast path runs."""
+    shape = draw(st.sampled_from(("constant", "polynomial", "fraction")))
+    if shape == "constant":
+        return rf(draw(fraction_st))
+    num = draw(st.one_of(
+        factored_polys(0), st.lists(fraction_st, max_size=4).map(Polynomial)
+    ))
+    den = Polynomial([1]) if shape == "polynomial" else draw(factored_polys(1))
+    return RationalFunction(num, den)
+
+
+def assert_canonical(f):
+    assert all(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
+    assert not f.num.coeffs or f.num.coeffs[-1] != 0
+    assert f.den.coeffs and f.den.coeffs[-1] == 1
+    if f.num.is_zero():
+        assert f.den == Polynomial([1])
+    else:
+        assert f.num.gcd(f.den) == Polynomial([1])
+
+
+def reference(num, den):
+    """The full constructor on polynomials rebuilt from plain lists."""
+    return RationalFunction(Polynomial(list(num.coeffs)), Polynomial(list(den.coeffs)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mixed_rational_functions(), mixed_rational_functions(), fraction_st)
+def test_fast_paths_match_the_full_constructor(f, g, c):
+    results = {
+        "sum": (f + g, reference(f.num * g.den + g.num * f.den, f.den * g.den)),
+        "difference": (f - g, reference(f.num * g.den - g.num * f.den, f.den * g.den)),
+        "product": (f * g, reference(f.num * g.num, f.den * g.den)),
+        "negation": (-f, reference(-f.num, f.den)),
+        "cube": (f ** 3, reference(f.num ** 3, f.den ** 3)),
+    }
+    if c != 0:
+        results["quotient"] = (f / rf(c), reference(f.num, f.den.scale(c)))
+    if not g.is_zero():
+        results["division"] = (f / g, reference(f.num * g.den, f.den * g.num))
+    for name, (fast, full) in results.items():
+        assert fast == full, name
+        assert hash(fast) == hash(full), name
+        assert_canonical(fast)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(fraction_st, max_size=5), st.lists(fraction_st, max_size=5))
+def test_polynomial_fast_paths_match_plain_lists(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    product = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    assert p * q == Polynomial(product)
+    assert p + q == Polynomial(
+        [x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
+    )
+    assert -p == Polynomial([-x for x in a])
+    for value in (p * q, p + q, -p, p.derivative(), p.scale(Fraction(3, 2))):
+        assert all(type(x) is Fraction for x in value.coeffs)
+        assert not value.coeffs or value.coeffs[-1] != 0
+        assert hash(value) == hash(Polynomial(list(value.coeffs)))
+    if not q.is_zero():
+        quo, rem = p.divmod(q)
+        assert quo * q + rem == p
+        assert rem.degree < q.degree
+
+
+def test_equal_values_by_different_routes_hash_alike():
+    routes = [
+        parse_rf("(1 + m)/(2 + m)"),
+        parse_rf("(2 + 2*m)/(4 + 2*m)"),
+        parse_rf("1 - 1/(2 + m)"),
+        make_rational_function(poly(1, 1), poly(2, 1)),
+        rf(1) - rf(1) / parse_rf("2 + m"),
+        parse_rf("(1 + m)^2/((2 + m)*(1 + m))"),
+    ]
+    constants = [rf(2), parse_rf("4/2"), rf(1) + rf(1), rf(4) * rf(Fraction(1, 2)),
+                 parse_rf("(2 + 2*m)/(1 + m)"), parse_rf("m + 2 - m")]
+    for group in (routes, constants):
+        assert len({hash(f) for f in group}) == 1
+        assert all(f == group[0] for f in group)
+        assert len(set(group)) == 1
+
+
+def test_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    m = sympy.Symbol("m")
+
+    def to_sympy(f):
+        return (sum(sympy.Rational(c.numerator, c.denominator) * m**k
+                    for k, c in enumerate(f.num.coeffs))
+                / sum(sympy.Rational(c.numerator, c.denominator) * m**k
+                      for k, c in enumerate(f.den.coeffs)))
+
+    values = [parse_rf(t) for t in (
+        "3", "-1/2", "m", "2*m^2 - 3", "(15 + 6*m)/(5 + 6*m)", "m/(1 + m)",
+        "1/(1 + m)^2", "(m^2 - 1)/(3*m + 3)",
+    )]
+    for f in values:
+        for g in values:
+            for fast, oracle in ((f + g, to_sympy(f) + to_sympy(g)),
+                                 (f * g, to_sympy(f) * to_sympy(g))):
+                assert sympy.cancel(to_sympy(fast) - oracle) == 0

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from celint import model
 from celint.chow import parse_class, ring_projective
 from celint.errors import (
     NormalCrossingViolation,
@@ -276,6 +278,63 @@ def test_blowup_transport_center_off_divisor():
     # nothing new enters a selection whose strata avoid the center
     assert new_sel.universe == ("D", "E")
     assert new_sel.strata == frozenset({frozenset({"D"})})
+
+
+def subsets(names):
+    return frozenset(
+        frozenset(c) for r in range(len(names) + 1) for c in combinations(names, r)
+    )
+
+
+def test_transport_matches_the_subset_rule():
+    names = ("A", "B", "C")
+    every = subsets(names)
+    selections = [StratumSelection.whole(names), StratumSelection.empty(names)]
+    selections += [StratumSelection.from_closed(names, core) for core in every if core]
+    selections += [
+        StratumSelection.from_strata(names, {frozenset(), frozenset({"A", "B"})}),
+        StratumSelection.from_strata(names, {frozenset({"C"})}),
+    ]
+    for sel in selections:
+        for contains in every:
+            got = model._transport_selection(sel, contains, "E")
+            # the old index sets, plus every set with E when the center's
+            # stratum is selected
+            want = set(sel.strata)
+            if contains in sel.strata:
+                want |= {s | {"E"} for s in every}
+            assert got == StratumSelection.from_strata(names + ("E",), want)
+            assert got.strata == frozenset(want)
+        assert sel.complement().strata == every - sel.strata
+        assert sel.complement() == StratumSelection.from_strata(
+            names, every - sel.strata
+        )
+
+
+def test_whole_and_closed_transport_never_enumerate(monkeypatch):
+    real = model._all_subsets
+
+    def guarded(names):
+        names = tuple(names)
+        if len(names) > 4:
+            raise AssertionError(f"enumerated the subsets of {len(names)} names")
+        return real(names)
+
+    monkeypatch.setattr(model, "_all_subsets", guarded)
+    h = P2.basis_class("h")
+    names = tuple(f"D{i}" for i in range(24))
+    config = NCConfig(P2, [Component(n, rf(i % 3), h) for i, n in enumerate(names)])
+    whole = StratumSelection.whole(names)
+    closed = StratumSelection.from_closed(names, names[:2])
+    step = BlowupStep(frozenset({"D1"}), "E")
+    _, new_whole, _ = blowup_transport(config, whole, step)
+    assert new_whole == StratumSelection.whole(names + ("E",))
+    _, new_closed, _ = blowup_transport(config, closed, step)
+    assert new_closed == StratumSelection.from_closed(
+        names + ("E",), ("D0", "D1", "E")
+    )
+    assert whole.complement() == StratumSelection.empty(names)
+    assert StratumSelection.empty(names).complement() == whole
 
 
 def test_blowup_transport_rejections():
