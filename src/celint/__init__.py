@@ -39,8 +39,6 @@ from .chow import (
     identity_map,
     parse_class,
     proper_transform,
-    pull_back_class,
-    push_forward_class,
     ring_blowup_point,
     ring_literal,
     ring_point,

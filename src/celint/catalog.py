@@ -127,7 +127,17 @@ def ring_blowup_point(base: ChowRing):
     to the exceptional powers, which is what makes iterated and
     infinitely-near centers work with the same presentation; the top
     power of the exceptional collapses onto the point class.
+
+    The first call builds and validates the triple and keeps it on
+    base; later calls on the same ring object return that same triple.
+    A call that raises keeps nothing, so it raises again next time.
     """
+    if base.blown_up is None:
+        base.blown_up = _blowup_point(base)
+    return base.blown_up
+
+
+def _blowup_point(base: ChowRing):
     if base.point is None:
         raise UnsupportedCatalog("blow-up needs a ring with a designated point class")
     n = base.dim

@@ -33,6 +33,8 @@ class ChowRing:
 
     Instances compare by identity; two rings built from the same data
     are still distinct carriers, and classes never cross between them.
+    `blown_up` holds the result of `ring_blowup_point` on this ring once
+    it has been built.
     """
 
     __slots__ = (
@@ -48,6 +50,7 @@ class ChowRing:
         "point",
         "kind",
         "meta",
+        "blown_up",
     )
 
     def __init__(self, dim, basis, products, degree_values, tangent_chern_coeffs,
@@ -79,6 +82,7 @@ class ChowRing:
         self.point = point
         self.kind = kind
         self.meta = dict(meta or {})
+        self.blown_up = None
         self.tangent_chern = None
         self._validate()
         if tangent_chern_coeffs is not None:
@@ -329,27 +333,27 @@ class ChowClass:
         })
 
     def inverse(self) -> "ChowClass":
-        """Inverse of a class whose codimension-0 part is nonzero.
+        """Inverse of a class whose codimension-0 part c0 is nonzero.
 
-        The positive-codimension part is nilpotent, so the geometric
-        series terminates after dim steps.
+        With u = -(positive part)/c0 the inverse is (1/c0) * sum u^k;
+        u is nilpotent, so the series terminates after dim steps.
         """
         c0 = self.coefficient(self.ring.fundamental)
         if c0.is_zero():
             raise DivisionByZero(
                 "cannot invert a class with zero codimension-0 part"
             )
-        n = self.positive_part()
-        result = self.ring.one().scale(RF_ONE / c0)
-        power = self.ring.one()
-        sign = RF_ONE
-        for k in range(1, self.ring.dim + 1):
-            power = power * n
+        unit = c0 == RF_ONE
+        u = -self.positive_part()
+        if not unit:
+            u = u.scale(RF_ONE / c0)
+        result = power = self.ring.one()
+        for _ in range(self.ring.dim):
+            power = power * u
             if power.is_zero():
                 break
-            sign = -sign
-            result = result + power.scale(sign / c0 ** (k + 1))
-        return result
+            result = result + power
+        return result if unit else result.scale(RF_ONE / c0)
 
     def __truediv__(self, other: "ChowClass") -> "ChowClass":
         self._check_ring(other)
@@ -566,14 +570,6 @@ class _ClassAlgebra:
 def parse_class(text: str, ring: ChowRing) -> ChowClass:
     """Parse a class expression whose names are basis elements of the ring."""
     return parse_expression(text, _ClassAlgebra(ring))
-
-
-def push_forward_class(f: PushForwardMap, c: ChowClass) -> ChowClass:
-    return f.push(c)
-
-
-def pull_back_class(f: PushForwardMap, c: ChowClass) -> ChowClass:
-    return f.pull(c)
 
 
 def proper_transform(f: PushForwardMap, divisor: ChowClass,

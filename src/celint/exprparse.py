@@ -23,7 +23,10 @@ ParseError, so an exponent literal above MAX_DEGREE is rejected too. The
 bound covers the degrees in m of the numerator and denominator of a
 rational function, and the number of factors in a product of ring
 elements. Exact gcds of rational functions grow steeply with degree:
-near the limit a parse takes a fraction of a second.
+near the limit a parse takes a fraction of a second. The parser
+recurses once per parenthesis and once per unary sign, so it counts
+their nesting and raises ParseError above MAX_DEPTH before recursing,
+well inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ _NAME_CONT = _NAME_START | set("0123456789")
 _DIGITS = set("0123456789")
 
 MAX_DEGREE = 64
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str):
@@ -87,6 +91,7 @@ class _Parser:
         self.algebra = algebra
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -121,6 +126,18 @@ class _Parser:
             )
         return degree
 
+    def nested(self, rule):
+        """Parse rule one nesting level deeper: a parenthesis or a sign."""
+        if self.depth >= MAX_DEPTH:
+            raise ParseError(
+                f"expression nests parentheses and signs more than "
+                f"{MAX_DEPTH} deep"
+            )
+        self.depth += 1
+        result = rule()
+        self.depth -= 1
+        return result
+
     def integer(self, text):
         try:
             return int(text)
@@ -148,7 +165,7 @@ class _Parser:
     def factor(self):
         if self.peek() in ("+", "-"):
             op = self.advance()[0]
-            value, degree = self.factor()
+            value, degree = self.nested(self.factor)
             return (self.algebra.neg(value) if op == "-" else value), degree
         return self.power()
 
@@ -172,7 +189,7 @@ class _Parser:
         if kind == "name":
             return self.algebra.name(text), 1
         if kind == "(":
-            value = self.expr()
+            value = self.nested(self.expr)
             self.expect(")")
             return value
         raise ParseError(f"unexpected token {text!r} in {self.text!r}")

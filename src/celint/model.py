@@ -64,6 +64,18 @@ def _outside_log_terminal(mult: RationalFunction) -> bool:
     return mult.is_constant() and mult.as_fraction() <= -1
 
 
+def _warn_if_outside(config):
+    """The `warn_if_outside` method of NCConfig and DegreeConfig. The
+    warning points at the code that called the integral which called
+    this method."""
+    if config.outside_log_terminal():
+        warnings.warn(
+            "a component has constant multiplicity <= -1; values are formal",
+            RegimeWarning,
+            stacklevel=3,
+        )
+
+
 class NCConfig:
     """Divisor components with multiplicities on one ring."""
 
@@ -106,13 +118,7 @@ class NCConfig:
     def outside_log_terminal(self) -> bool:
         return any(_outside_log_terminal(c.mult) for c in self.components)
 
-    def warn_if_outside(self):
-        if self.outside_log_terminal():
-            warnings.warn(
-                "a component has constant multiplicity <= -1; values are formal",
-                RegimeWarning,
-                stacklevel=3,
-            )
+    warn_if_outside = _warn_if_outside
 
     def total_divisor_class(self) -> ChowClass:
         out = self.ring.zero()
@@ -362,13 +368,7 @@ class DegreeConfig:
     def outside_log_terminal(self) -> bool:
         return any(_outside_log_terminal(m) for m in self.mults.values())
 
-    def warn_if_outside(self):
-        if self.outside_log_terminal():
-            warnings.warn(
-                "a component has constant multiplicity <= -1; values are formal",
-                RegimeWarning,
-                stacklevel=3,
-            )
+    warn_if_outside = _warn_if_outside
 
 
 class FiberedConfig:

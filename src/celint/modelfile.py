@@ -28,6 +28,10 @@ from .model import (
     StratumSelection,
 )
 
+# Each blow-up of a point adds dim - 1 basis elements, and validating a
+# ring costs the cube of its basis size: on a 2-vCPU VM, 32 blow-ups of
+# P^2 (35 basis elements) load in 0.45 s and of P^4 (101) in 9.5 s.
+MAX_BLOWUPS = 32
 
 
 def _key_to_index(key: str) -> frozenset:
@@ -65,6 +69,22 @@ def load_mult(value):
     raise SchemaError(f"invalid multiplicity {value!r}")
 
 
+def _blowup_count(value, allowed: int) -> int:
+    """The count field of a blow-up ring: a whole number from 1 to allowed."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or (count != value and not isinstance(value, str)):
+        raise SchemaError(f"blow-up field count must be a whole number, got {value!r}")
+    if not 1 <= count <= allowed:
+        raise SchemaError(
+            f"blow-up field count must be from 1 to {allowed} "
+            f"({MAX_BLOWUPS} blow-ups in all), got {count}"
+        )
+    return count
+
+
 def load_ring(obj):
     """Build a catalog or literal ring; returns (ring, construction maps).
 
@@ -72,6 +92,12 @@ def load_ring(obj):
     listed from the final ring toward the base, so pushing a class
     through them in order lands it on the base.
     """
+    return _load_ring(obj, MAX_BLOWUPS)
+
+
+def _load_ring(obj, allowed: int):
+    """load_ring with at most `allowed` point blow-ups in all, counted
+    before the base is loaded, so nesting depth is bounded too."""
     if not isinstance(obj, dict):
         raise SchemaError("ring description must be an object")
     catalog = obj.get("catalog")
@@ -96,14 +122,8 @@ def load_ring(obj):
         base_obj = obj.get("base")
         if base_obj is None:
             raise SchemaError("blow-up ring needs a base ring")
-        base, maps = load_ring(base_obj)
-        count = obj.get("count", 1)
-        try:
-            count = int(count)
-        except (TypeError, ValueError):
-            raise SchemaError("blow-up count must be an integer")
-        if count < 1:
-            raise SchemaError("blow-up count must be positive")
+        count = _blowup_count(obj.get("count", 1), allowed)
+        base, maps = _load_ring(base_obj, allowed - count)
         ring = base
         for _ in range(count):
             ring, blowdown, _ = ring_blowup_point(ring)

@@ -13,6 +13,7 @@ import os
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 from .celestial import (
     alternate_form2,
@@ -318,19 +319,29 @@ def _rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _build_surfaces():
+# The catalog rings the instance generators draw from; the first four
+# are the surfaces P^2, P^1 x P^1, Bl P^2 and Bl^2 P^2.
+_Pool = namedtuple("_Pool", "plane quadric once twice space")
+
+
+@cache
+def _pool() -> _Pool:
+    """Build the ring pool on first use, not at import. Every instance
+    and suite shares it, so a blow-up of a pooled ring is built and
+    validated once and then taken from the ring (`ring_blowup_point`)."""
     plane = ring_projective(2)
-    quadric = ring_product(ring_projective(1), ring_projective(1))
-    once, _, _ = ring_blowup_point(plane)
-    twice, _, _ = ring_blowup_point(once)
-    return (plane, quadric, once, twice)
-
-
-_SURFACES = _build_surfaces()
+    once = ring_blowup_point(plane)[0]
+    return _Pool(
+        plane,
+        ring_product(ring_projective(1), ring_projective(1)),
+        once,
+        ring_blowup_point(once)[0],
+        ring_projective(3),
+    )
 
 
 def _rand_surface(rng: random.Random) -> ChowRing:
-    return _SURFACES[rng.randrange(4)]
+    return _pool()[rng.randrange(4)]
 
 
 def _rand_divisor(rng: random.Random, ring: ChowRing) -> ChowClass:
@@ -394,7 +405,7 @@ def _instance_key(rng: random.Random) -> CheckReport:
 def _instance_altexp(rng: random.Random) -> CheckReport:
     dim_choice = rng.randrange(3)
     if dim_choice == 2:
-        ring = ring_projective(3)
+        ring = _pool().space
     else:
         ring = _rand_surface(rng)
     config = _rand_config(rng, ring)
@@ -454,15 +465,8 @@ def _instance_denloe(rng: random.Random) -> CheckReport:
 
 
 def _instance_necfacts(rng: random.Random) -> list:
-    kind = rng.randrange(4)
-    if kind == 0:
-        base = ring_projective(2)
-    elif kind == 1:
-        base = ring_projective(3)
-    elif kind == 2:
-        base = ring_product(ring_projective(1), ring_projective(1))
-    else:
-        base, _, _ = ring_blowup_point(ring_projective(2))
+    pool = _pool()
+    base = (pool.plane, pool.space, pool.quadric, pool.once)[rng.randrange(4)]
     divisors = [_rand_divisor(rng, base) for _ in range(rng.randint(0, 2))]
     return check_necfacts(base, divisors)
 

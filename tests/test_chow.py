@@ -433,3 +433,97 @@ def test_class_product_matches_reference_product(pair):
     assert all(not c.is_zero() for c in product.coeffs.values())
     assert x * y - y * x == x.ring.zero()
     assert (x + y) * y == x * y + y * y
+
+
+# ChowClass.inverse divides by c0 once; the reference is the geometric
+# series it replaced, sum_k (-1)^k n^k / c0^(k+1) with n the positive part.
+
+
+def reference_inverse(x):
+    ring = x.ring
+    c0 = x.coefficient(ring.fundamental)
+    n = x.positive_part()
+    result = ring.one().scale(rf(1) / c0)
+    power = ring.one()
+    for k in range(1, ring.dim + 1):
+        power = power * n
+        if power.is_zero():
+            break
+        result = result + power.scale(rf((-1) ** k) / c0 ** (k + 1))
+    return result
+
+
+INVERSE_RINGS = [
+    P2,
+    ring_blowup_point(P2)[0],
+    P3,
+    ring_product(ring_projective(1), ring_projective(2)),
+]
+UNIT_TEXTS = ("1", "-1", "2", "-3/2", "m", "1 + m", "2 - 3*m", "m/(1 + m)")
+
+
+@st.composite
+def invertible_classes(draw):
+    ring = draw(st.sampled_from(INVERSE_RINGS))
+    coeffs = {ring.fundamental: parse_rf(draw(st.sampled_from(UNIT_TEXTS)))}
+    for name in ring.all_names[1:]:
+        coeffs[name] = parse_rf(draw(st.sampled_from(COEFF_TEXTS)))
+    return ChowClass(ring, coeffs)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(invertible_classes())
+def test_inverse_matches_geometric_series(x):
+    inverse = x.inverse()
+    expected = reference_inverse(x)
+    assert inverse == expected
+    assert hash(inverse) == hash(expected)
+    assert inverse.render() == expected.render()
+    assert all(not c.is_zero() for c in inverse.coeffs.values())
+    assert x * inverse == x.ring.one()
+
+
+def test_blowup_is_built_and_validated_once_per_ring(monkeypatch):
+    validated = []
+    validate = PushForwardMap._validate
+
+    def counting(self):
+        validated.append(self.label)
+        validate(self)
+
+    monkeypatch.setattr(PushForwardMap, "_validate", counting)
+    base = ring_projective(2)
+    first = ring_blowup_point(base)
+    second = ring_blowup_point(base)
+    assert second is first
+    assert validated == ["blowdown_e1"]
+    assert base.blown_up is first
+    # the memo is per ring object, not per presentation
+    other = ring_blowup_point(ring_projective(2))
+    assert other[0] is not first[0]
+    assert validated == ["blowdown_e1", "blowdown_e1"]
+    # a curve blows up to itself, once
+    line = ring_projective(1)
+    assert ring_blowup_point(line) is ring_blowup_point(line)
+    assert validated[2:] == ["id"]
+
+
+def test_failing_blowup_raises_on_every_call():
+    no_point = ring_literal({
+        "dim": 1,
+        "basis": [["[C]"], ["p"]],
+        "products": {},
+        "degree": {"p": 1},
+    })
+    taken = ring_literal({
+        "dim": 2,
+        "basis": [["[S]"], ["e1"], ["p"]],
+        "products": {"e1,e1": "p"},
+        "degree": {"p": 1},
+        "point": "p",
+    })
+    for ring, error in ((no_point, UnsupportedCatalog), (taken, PresentationError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                ring_blowup_point(ring)
+        assert ring.blown_up is None

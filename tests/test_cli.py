@@ -296,3 +296,38 @@ def test_warning_reaches_stderr(tmp_path, capsys):
         "warning: a component has constant multiplicity <= -1; "
         "values are formal\n"
     )
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "h" + ")" * 3000,
+    "-" * 3000 + "h",
+    "+" * 3000 + "h",
+], ids=["parentheses", "minus", "plus"])
+def test_deeply_nested_class_is_a_parse_error(tmp_path, capsys, text):
+    model = tmp_path / "nested.json"
+    model.write_text(json.dumps({
+        "ring": {"catalog": "projective", "n": 2},
+        "components": [{"name": "D", "class": text, "mult": 1}],
+    }))
+    code, out, err = run_cli(capsys, "integrate", model)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParseError:")
+    assert "nests" in err
+
+
+def test_nesting_up_to_the_limit_parses(tmp_path, capsys):
+    from celint.exprparse import MAX_DEPTH
+
+    model = tmp_path / "nested.json"
+    model.write_text(json.dumps({
+        "ring": {"catalog": "projective", "n": 2},
+        "components": [{
+            "name": "D",
+            "class": "(" * MAX_DEPTH + "h" + ")" * MAX_DEPTH,
+            "mult": "+" * MAX_DEPTH + "1",
+        }],
+    }))
+    code, out, _ = run_cli(capsys, "integrate", model)
+    assert code == 0
+    assert out == "[V] + (5/2)*h + 2*h^2\n"

@@ -357,3 +357,17 @@ def test_sympy_oracle():
             for fast, oracle in ((f + g, to_sympy(f) + to_sympy(g)),
                                  (f * g, to_sympy(f) * to_sympy(g))):
                 assert sympy.cancel(to_sympy(fast) - oracle) == 0
+
+
+def test_parse_bounds_nesting_depth():
+    from celint.exprparse import MAX_DEPTH
+
+    m = parse_rf("m")
+    assert parse_rf("(" * MAX_DEPTH + "m" + ")" * MAX_DEPTH) == m
+    assert parse_rf("+" * MAX_DEPTH + "m") == m
+    assert parse_rf("-" * MAX_DEPTH + "m") == rf((-1) ** MAX_DEPTH) * m
+    for bad in ("(" * (MAX_DEPTH + 1) + "m" + ")" * (MAX_DEPTH + 1),
+                "-" * (MAX_DEPTH + 1) + "m", "+-" * 1500 + "m",
+                "(" * 100_000 + "m"):
+        with pytest.raises(ParseError):
+            parse_rf(bad)

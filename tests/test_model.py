@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celint import model
+from celint.celestial import integrate_class, integrate_degree
 from celint.chow import parse_class, ring_projective
 from celint.errors import (
     NormalCrossingViolation,
@@ -527,3 +528,40 @@ def test_load_chain_rejections():
         load_chain(42, model.ring, None)
     with pytest.raises(SchemaError):
         load_chain([{"forward": {}}], model.ring, None)
+
+
+def test_load_ring_bounds_the_blowup_count():
+    from celint.modelfile import MAX_BLOWUPS
+
+    plane = {"catalog": "projective", "n": 2}
+    for count in (MAX_BLOWUPS + 1, 1000, 2.5, 0.5, float("inf"), "x", None):
+        with pytest.raises(SchemaError, match="count"):
+            load_ring({"catalog": "blowup_point", "base": plane, "count": count})
+    # nesting blow-ups cannot get round the bound
+    half = MAX_BLOWUPS // 2 + 1
+    with pytest.raises(SchemaError, match="count"):
+        load_ring({
+            "catalog": "blowup_point", "count": half,
+            "base": {"catalog": "blowup_point", "base": plane, "count": half},
+        })
+    deep = plane
+    for _ in range(2000):
+        deep = {"catalog": "blowup_point", "base": deep, "count": 1}
+    with pytest.raises(SchemaError, match="count"):
+        load_ring(deep)
+    ring, maps = load_ring({"catalog": "blowup_point", "base": plane, "count": 2.0})
+    assert len(maps) == 2 and "e2" in ring.codim_of
+    line = {"catalog": "projective", "n": 1}
+    _, maps = load_ring({"catalog": "blowup_point", "base": line,
+                         "count": MAX_BLOWUPS})
+    assert len(maps) == MAX_BLOWUPS
+
+
+def test_regime_warning_points_at_the_caller():
+    h = P2.basis_class("h")
+    config = NCConfig(P2, [Component("D", rf(-2), h)])
+    degree = DegreeConfig(("D",), {"D": rf(-2)}, {frozenset(): 3}, dim=2)
+    for call in (lambda: integrate_class(config), lambda: integrate_degree(degree)):
+        with pytest.warns(RegimeWarning) as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]

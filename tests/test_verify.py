@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import celint
+from celint import verify
 from celint.chow import (
+    PushForwardMap,
     parse_class,
     ring_blowup_point,
     ring_literal,
@@ -314,3 +321,38 @@ def test_necfacts_suite_emits_multiple_reports():
     reports = run_suite("necfacts", instances=4, seed=11)
     assert len(reports) > 4
     assert {r.name for r in reports} >= {"necfacts2", "necfacts3", "necfacts4"}
+
+
+def test_suites_build_a_bounded_number_of_maps(monkeypatch):
+    # The generators draw their rings from one pool, and each pooled ring
+    # keeps its blow-up, so push-forward maps are built per ring, not per
+    # instance: a second batch of instances builds none.
+    built = []
+    init = PushForwardMap.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PushForwardMap, "__init__", counting)
+    verify._pool.cache_clear()
+    counts = []
+    for seed in (31, 32):
+        for suite in ("necfacts", "key"):
+            assert all(r.passed for r in run_suite(suite, 40, seed))
+        counts.append(len(built))
+    assert counts[0] <= len(verify._pool())
+    assert counts[1] == counts[0]
+
+
+def test_ring_pool_is_built_on_first_use():
+    src = str(Path(celint.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import celint, celint.cli\n"
+        "from celint import verify\n"
+        "assert verify._pool.cache_info().currsize == 0\n"
+        "verify.run_suite('key', 1, 5)\n"
+        "assert verify._pool.cache_info().currsize == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
