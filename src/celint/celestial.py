@@ -218,39 +218,35 @@ def integrate_degree(config: DegreeConfig,
 
 def alternate_form2(config: NCConfig) -> ChowClass:
     """Whole-space integral as a signed combination of Chern classes of
-    the closed strata, each weighted by products of m_i/(1+m_i)."""
-    ring = config.ring
-    ctv = ring.require_tangent_chern()
-    total = ring.zero()
-    for index in _all_subsets(config.names):
-        weight = RF_ONE
-        cls = ctv
-        for name in index:
-            m = config.mult_of(name)
-            weight = weight * (m / (RF_ONE + m))
-            div = config.divisor_of(name)
-            cls = cls * div * (ring.one() + div).inverse()
-        sign = RF_ONE if len(index) % 2 == 0 else -RF_ONE
-        total = total + cls.scale(sign * weight)
+    the closed strata, each weighted by products of m_i/(1+m_i).
+
+    The sum over index sets I of (-1)^|I| prod_{i in I} w_i E_i/(1+E_i),
+    with w_i = m_i/(1+m_i), times c(TV), factors as
+    c(TV) * prod_i (1 - w_i E_i/(1+E_i)): c products and c inverses.
+    """
+    one = config.ring.one()
+    total = config.ring.require_tangent_chern()
+    for comp in config.components:
+        weight = comp.mult / (RF_ONE + comp.mult)
+        quotient = comp.divisor * (one + comp.divisor).inverse()
+        total = total * (one - quotient.scale(weight))
     return total
 
 
 def alternate_form3(config: NCConfig) -> ChowClass:
     """Whole-space integral as a weighted average of log-twisted Chern
-    classes of the sub-configurations."""
-    ring = config.ring
-    ctv = ring.require_tangent_chern()
+    classes of the sub-configurations.
+
+    The sum over index sets I of prod_{i in I} m_i/(1+E_i), times c(TV)
+    and prod_i 1/(1+m_i), factors as
+    prod_i 1/(1+m_i) * c(TV) * prod_i (1 + m_i/(1+E_i)).
+    """
+    one = config.ring.one()
+    total = config.ring.require_tangent_chern()
     prefactor = RF_ONE
     for comp in config.components:
         prefactor = prefactor / (RF_ONE + comp.mult)
-    total = ring.zero()
-    for index in _all_subsets(config.names):
-        weight = RF_ONE
-        cls = ctv
-        for name in index:
-            weight = weight * config.mult_of(name)
-            cls = cls * (ring.one() + config.divisor_of(name)).inverse()
-        total = total + cls.scale(weight)
+        total = total * (one + (one + comp.divisor).inverse().scale(comp.mult))
     return total.scale(prefactor)
 
 

@@ -15,6 +15,7 @@ family of computations; evaluation at a rational m specializes it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DivisionByZero,
@@ -25,7 +26,13 @@ from .errors import (
     RingMismatch,
     UnsupportedCatalog,
 )
-from .exactnum import RF_ONE, RF_ZERO, RationalFunction, as_fraction, rf
+from .exactnum import (
+    RF_ONE,
+    RF_ZERO,
+    RationalFunction,
+    as_fraction,
+    rf,
+)
 from .exprparse import parse_expression
 
 class ChowRing:
@@ -34,7 +41,8 @@ class ChowRing:
     Instances compare by identity; two rings built from the same data
     are still distinct carriers, and classes never cross between them.
     `blown_up` holds the result of `ring_blowup_point` on this ring once
-    it has been built.
+    it has been built, and `integer_products` the table of
+    `integer_table` once it has been asked for.
     """
 
     __slots__ = (
@@ -51,6 +59,7 @@ class ChowRing:
         "kind",
         "meta",
         "blown_up",
+        "integer_products",
     )
 
     def __init__(self, dim, basis, products, degree_values, tangent_chern_coeffs,
@@ -83,6 +92,7 @@ class ChowRing:
         self.kind = kind
         self.meta = dict(meta or {})
         self.blown_up = None
+        self.integer_products = None
         self.tangent_chern = None
         self._validate()
         if tangent_chern_coeffs is not None:
@@ -165,6 +175,32 @@ class ChowRing:
         if self.index_of[a] > self.index_of[b]:
             a, b = b, a
         return self.products.get((a, b), {})
+
+    def integer_table(self):
+        """The structure constants over one common denominator d.
+
+        Returns (d, rows), where rows[a][b] holds the pairs (name, k)
+        with a*b = sum of (k/d)*name, for each pair of basis names whose
+        product is nonzero. Built on first use; d is the lcm of the
+        denominators of the structure constants, 1 for catalog rings.
+        """
+        if self.integer_products is None:
+            d = 1
+            for table in self.products.values():
+                for f in table.values():
+                    d = lcm(d, f.denominator)
+            rows = {}
+            for a in self.all_names:
+                row = rows[a] = {}
+                for b in self.all_names:
+                    table = self.mul_basis(a, b)
+                    if table:
+                        row[b] = tuple(
+                            (name, f.numerator * (d // f.denominator))
+                            for name, f in table.items()
+                        )
+            self.integer_products = (d, rows)
+        return self.integer_products
 
     def _mul_dict_basis(self, d: dict, c: str) -> dict:
         out = {}
@@ -293,7 +329,18 @@ class ChowClass:
         return ChowClass._make(self.ring, {n: v * c for n, v in self.coeffs.items()})
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
+        """Product in the ring, by one of two paths with equal results.
+
+        When every coefficient of both factors is a constant of Q(m)
+        (numerator of degree at most 0, denominator 1), the product is
+        summed in integers over the ring's `integer_table`, and each
+        output coefficient is reduced once at the end. Any other pair
+        goes through the loop over Q(m) coefficients below.
+        """
         self._check_ring(other)
+        if _all_constant(self.coeffs) and _all_constant(other.coeffs):
+            return self._mul_integers(
+                _integer_form(self.coeffs), _integer_form(other.coeffs))
         mul_basis = self.ring.mul_basis
         out = {}
         for a, ca in self.coeffs.items():
@@ -307,6 +354,27 @@ class ChowClass:
                     prev = out.get(name)
                     out[name] = term if prev is None else prev + term
         return ChowClass._make(self.ring, out)
+
+    def _mul_integers(self, x, y) -> "ChowClass":
+        """Product of two classes given in `_integer_form`."""
+        d, rows = self.ring.integer_table()
+        dx, xs = x
+        dy, ys = y
+        out = {}
+        for a, xa in xs:
+            row = rows[a]
+            for b, yb in ys:
+                entries = row.get(b)
+                if entries:
+                    xy = xa * yb
+                    for name, k in entries:
+                        out[name] = out.get(name, 0) + xy * k
+        den = dx * dy * d
+        constant = RationalFunction.constant
+        return ChowClass._make(self.ring, {
+            name: constant(Fraction(n) if den == 1 else Fraction(n, den))
+            for name, n in out.items()
+        })
 
     def __pow__(self, k: int) -> "ChowClass":
         if k < 0:
@@ -394,6 +462,27 @@ class ChowClass:
 
     def __repr__(self):
         return f"ChowClass({self.render()!r})"
+
+
+def _all_constant(coeffs: dict) -> bool:
+    """True when no coefficient depends on m."""
+    return all(map(RationalFunction.is_constant, coeffs.values()))
+
+
+def _integer_form(coeffs: dict):
+    """(d, [(name, n), ...]) with each coefficient equal to n/d, where d
+    is the lcm of the coefficient denominators; every coefficient must
+    be a constant of Q(m)."""
+    items = []
+    d = 1
+    for name, c in coeffs.items():
+        q = c.as_fraction()
+        items.append((name, q))
+        if q.denominator != 1:
+            d = lcm(d, q.denominator)
+    if d == 1:
+        return 1, [(name, q.numerator) for name, q in items]
+    return d, [(name, q.numerator * (d // q.denominator)) for name, q in items]
 
 
 def _render_term(c: RationalFunction, name: str):

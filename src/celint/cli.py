@@ -26,6 +26,8 @@ def _load_file(path: str) -> LoadedModel:
         raise SchemaError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError(f"{path} nests its JSON too deeply to read")
     return load_model(data)
 
 

@@ -289,7 +289,11 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
-        return cls(Polynomial.constant(as_fraction(c)))
+        """The canonical constant c, an int or a Fraction."""
+        q = as_fraction(c)
+        if not q:
+            return RF_ZERO
+        return cls._make(Polynomial._make([q]), ONE_POLY)
 
     @classmethod
     def variable(cls) -> "RationalFunction":
@@ -417,7 +421,7 @@ def rf(c) -> RationalFunction:
         return c
     if isinstance(c, Polynomial):
         return RationalFunction(c)
-    return RationalFunction.constant(as_fraction(c))
+    return RationalFunction.constant(c)
 
 
 def make_rational_function(num: Polynomial, den: Polynomial) -> RationalFunction:

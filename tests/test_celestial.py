@@ -24,7 +24,7 @@ from celint.celestial import (
     zeta_class,
     zeta_degree,
 )
-from celint.chow import parse_class, ring_blowup_point, ring_projective
+from celint.chow import ChowClass, parse_class, ring_blowup_point, ring_projective
 from celint.errors import (
     MissingDecomposition,
     NotADivisor,
@@ -133,6 +133,94 @@ def test_alternate_forms_agree_with_definition():
         whole = integrate_class(model.config)
         assert alternate_form2(model.config) == whole
         assert alternate_form3(model.config) == whole
+
+
+# alternate_form2 and alternate_form3 are products over the components;
+# the references below are the sums over all index sets they factor.
+
+
+def subset_sum_form2(config):
+    ring = config.ring
+    total = ring.zero()
+    for size in range(len(config.names) + 1):
+        for index in combinations(config.names, size):
+            weight = rf(1)
+            cls = ring.require_tangent_chern()
+            for name in index:
+                m = config.mult_of(name)
+                weight = weight * (m / (rf(1) + m))
+                div = config.divisor_of(name)
+                cls = cls * div * (ring.one() + div).inverse()
+            total = total + cls.scale(weight if size % 2 == 0 else -weight)
+    return total
+
+
+def subset_sum_form3(config):
+    ring = config.ring
+    prefactor = rf(1)
+    for comp in config.components:
+        prefactor = prefactor / (rf(1) + comp.mult)
+    total = ring.zero()
+    for size in range(len(config.names) + 1):
+        for index in combinations(config.names, size):
+            weight = rf(1)
+            cls = ring.require_tangent_chern()
+            for name in index:
+                weight = weight * config.mult_of(name)
+                cls = cls * (ring.one() + config.divisor_of(name)).inverse()
+            total = total + cls.scale(weight)
+    return total.scale(prefactor)
+
+
+ALTERNATE_RINGS = [P2, ring_blowup_point(P2)[0], ring_projective(3)]
+CONSTANT_MULTS = ("0", "1", "2", "1/2", "-1/2", "-2", "3/5")
+LINEAR_MULTS = ("m", "2*m", "m + 1", "3*m - 1", "m/2 + 1/3")
+
+
+@st.composite
+def alternate_configs(draw):
+    ring = draw(st.sampled_from(ALTERNATE_RINGS))
+    comps = []
+    for i in range(draw(st.integers(0, 8))):
+        divisor = ChowClass(ring, {
+            name: rf(draw(st.integers(-2, 3))) for name in ring.basis[1]
+        })
+        texts = draw(st.sampled_from((CONSTANT_MULTS, LINEAR_MULTS)))
+        comps.append(Component(f"E{i}", parse_rf(draw(st.sampled_from(texts))),
+                               divisor))
+    return NCConfig(ring, comps)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(alternate_configs())
+def test_alternate_forms_match_subset_sums(config):
+    form2 = alternate_form2(config)
+    form3 = alternate_form3(config)
+    assert form2 == subset_sum_form2(config)
+    assert form3 == subset_sum_form3(config)
+    assert form2.render() == form3.render()
+
+
+def test_alternate_forms_never_enumerate(monkeypatch):
+    real = model._all_subsets
+
+    def guarded(names):
+        names = tuple(names)
+        if len(names) > 4:
+            raise AssertionError(f"enumerated the subsets of {len(names)} names")
+        return real(names)
+
+    monkeypatch.setattr(model, "_all_subsets", guarded)
+    monkeypatch.setattr(celestial, "_all_subsets", guarded, raising=False)
+    h = P2.basis_class("h")
+    mults = (rf(0), rf(Fraction(1, 2)), RF_M, rf(2))
+    config = NCConfig(P2, [
+        Component(f"E{i}", mults[i % 4], h.scale(rf(1 + i % 3)))
+        for i in range(24)
+    ])
+    whole = integrate_class(config)
+    assert alternate_form2(config) == whole
+    assert alternate_form3(config) == whole
 
 
 def test_zeta_cusp_value_and_poles():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from celint.chow import (
@@ -376,8 +376,9 @@ def test_blowdown_projection_formula(a):
     assert down.push(lifted) == a
 
 
-# ChowClass.__mul__ adds a coefficient product directly when the
-# structure constant is 1; the reference multiplies by rf(f) every time.
+# ChowClass.__mul__ sums products of constant classes in integers, and
+# otherwise adds a coefficient product directly when the structure
+# constant is 1; the reference multiplies by rf(f) in Q(m) every time.
 
 
 def reference_product(x, y):
@@ -433,6 +434,88 @@ def test_class_product_matches_reference_product(pair):
     assert all(not c.is_zero() for c in product.coeffs.values())
     assert x * y - y * x == x.ring.zero()
     assert (x + y) * y == x * y + y * y
+
+
+RATIONAL_LITERAL = ring_literal({
+    "dim": 2,
+    "basis": [["[S]"], ["a", "b"], ["p"]],
+    "products": {"a,a": "(1/2)*p", "a,b": "(1/3)*p", "b,b": "-(2/5)*p"},
+    "degree": {"p": 1},
+    "point": "p",
+})
+BL_P2 = ring_blowup_point(P2)[0]
+P1P1 = ring_product(ring_projective(1), ring_projective(1))
+CONSTANT_RINGS = [P2, BL_P2, P1P1, P3, RATIONAL_LITERAL]
+CONSTANT_TEXTS = ("0", "1", "-1", "2", "-3", "1/2", "-3/2", "2/3", "-7/6")
+
+
+def assert_canonical_constant(c):
+    q = c.as_fraction()
+    assert q != 0 and type(q) is Fraction
+    assert c.num.coeffs == (q,) and c.den.coeffs == (Fraction(1),)
+
+
+@st.composite
+def constant_pairs(draw):
+    ring = draw(st.sampled_from(CONSTANT_RINGS))
+
+    def cls():
+        return ChowClass(ring, {
+            name: parse_rf(draw(st.sampled_from(CONSTANT_TEXTS)))
+            for name in ring.all_names if draw(st.booleans())
+        })
+
+    return cls(), cls()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(constant_pairs())
+@example((P2.zero(), P2.one().scale(rf(-2))))
+@example((P2.one().scale(rf(Fraction(2, 3))), P2.one().scale(rf(Fraction(3, 2)))))
+@example((parse_class("h + e1", BL_P2), parse_class("h + e1", BL_P2)))
+@example((parse_class("h1 + h2", P1P1), parse_class("h1 - h2", P1P1)))
+@example((parse_class("6*a - 5*b", RATIONAL_LITERAL),
+          parse_class("a + b", RATIONAL_LITERAL)))
+@example((parse_class("1 - h/2", P3), parse_class("1 - h/2", P3).inverse()))
+def test_constant_products_match_the_qm_loop(pair):
+    x, y = pair
+    product = x * y
+    expected = reference_product(x, y)
+    assert product == expected
+    assert hash(product) == hash(expected)
+    assert product.render() == expected.render()
+    assert list(product.coeffs) == list(expected.coeffs)
+    for c in product.coeffs.values():
+        assert_canonical_constant(c)
+    # one m-linear coefficient sends the product through the Q(m) loop
+    z = y + x.ring.one().scale(RF_M)
+    assert x * z == reference_product(x, z)
+    assert (x * z).render() == reference_product(x, z).render()
+
+
+def test_integer_table_has_one_common_denominator():
+    assert [ring.integer_table()[0] for ring in CONSTANT_RINGS] == [1, 1, 1, 1, 30]
+    d, rows = RATIONAL_LITERAL.integer_table()
+    assert rows["a"]["b"] == (("p", 10),) and rows["b"]["b"] == (("p", -12),)
+    assert rows["[S]"]["a"] == (("a", 30),)
+    assert RATIONAL_LITERAL.integer_table() is RATIONAL_LITERAL.integer_table()
+    # ring construction does not build the table
+    assert ring_projective(2).integer_products is None
+
+
+def test_constant_products_skip_polynomial_arithmetic(monkeypatch):
+    from celint.exactnum import Polynomial
+
+    x = parse_class("2 - 3*h + e1/2 + 5*h^2", BL_P2)
+    y = parse_class("-1 + h/3 - 4*e1", BL_P2)
+    expected = reference_product(x, y)
+
+    def forbidden(self, other):
+        raise AssertionError("multiplied polynomials")
+
+    monkeypatch.setattr(Polynomial, "__mul__", forbidden)
+    assert x * y == expected
+    assert x * x * y == y * x * x
 
 
 # ChowClass.inverse divides by c0 once; the reference is the geometric

@@ -331,3 +331,17 @@ def test_nesting_up_to_the_limit_parses(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "integrate", model)
     assert code == 0
     assert out == "[V] + (5/2)*h + 2*h^2\n"
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"a":' * 100_000,
+], ids=["arrays", "objects"])
+def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys, text):
+    model = tmp_path / "deep.json"
+    model.write_text(text)
+    code, out, err = run_cli(capsys, "ring", model)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: SchemaError:")
+    assert "deep.json" in err and "nests" in err

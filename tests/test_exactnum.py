@@ -287,6 +287,9 @@ def test_fast_paths_match_the_full_constructor(f, g, c):
         "product": (f * g, reference(f.num * g.num, f.den * g.den)),
         "negation": (-f, reference(-f.num, f.den)),
         "cube": (f ** 3, reference(f.num ** 3, f.den ** 3)),
+        "constant": (rf(c), reference(Polynomial([c]), Polynomial([1]))),
+        "integer constant": (
+            rf(c.numerator), reference(Polynomial([c.numerator]), Polynomial([1]))),
     }
     if c != 0:
         results["quotient"] = (f / rf(c), reference(f.num, f.den.scale(c)))

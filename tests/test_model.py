@@ -557,6 +557,44 @@ def test_load_ring_bounds_the_blowup_count():
     assert len(maps) == MAX_BLOWUPS
 
 
+def test_load_ring_bounds_the_basis_size_before_building(monkeypatch):
+    from celint import modelfile
+    from celint.modelfile import MAX_BASIS
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a ring above the basis bound")
+
+    for name in ("ring_projective", "ring_product", "ring_literal",
+                 "ring_blowup_point"):
+        monkeypatch.setattr(modelfile, name, forbidden)
+    names = [f"x{i}" for i in range(MAX_BASIS)]
+    for obj, field in (
+        ({"catalog": "projective", "n": MAX_BASIS}, "n"),
+        ({"catalog": "projective", "n": 10**9}, "n"),
+        ({"catalog": "product", "factors": [40, 40]}, "factors"),
+        ({"catalog": "product", "factors": [7, 8]}, "factors"),
+        ({"catalog": "product", "factors": [10**9, -2]}, "factors"),
+        ({"catalog": "literal", "presentation": {
+            "dim": 1, "basis": [["[W]"], names], "degree": {"x0": 1},
+        }}, "presentation.basis"),
+    ):
+        with pytest.raises(SchemaError, match=f"field {field} asks for"):
+            load_ring(obj)
+    for obj in ({"catalog": "projective", "n": float("inf")},
+                {"catalog": "product", "factors": [float("inf"), 1]}):
+        with pytest.raises(SchemaError, match="integer"):
+            load_ring(obj)
+    monkeypatch.undo()
+    # P^4 gains 3 basis elements per blow-up: 20 of them give 65
+    monkeypatch.setattr(modelfile, "ring_blowup_point", forbidden)
+    with pytest.raises(SchemaError, match="field count asks for 65"):
+        load_ring({"catalog": "blowup_point", "count": 20,
+                   "base": {"catalog": "projective", "n": 4}})
+    monkeypatch.undo()
+    ring, _ = load_ring({"catalog": "product", "factors": [7, 7]})
+    assert len(ring.all_names) == MAX_BASIS
+
+
 def test_regime_warning_points_at_the_caller():
     h = P2.basis_class("h")
     config = NCConfig(P2, [Component("D", rf(-2), h)])
