@@ -1,0 +1,57 @@
+"""Record the golden CLI outputs that `tests/test_golden.py` replays.
+
+Each case is one `celint` invocation run in-process through `cli.main`
+from the repository root: the seven model verbs on every fixture in
+both output formats, plus one seeded `verify all`. The exit code,
+stdout and stderr of each are written to `tests/golden/outputs.json`.
+
+Re-record only when an output is meant to change:
+
+    PYTHONPATH=src python3 tests/golden/record.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+from celint import cli
+
+ROOT = Path(__file__).resolve().parents[2]
+OUTPUTS = Path(__file__).resolve().parent / "outputs.json"
+VERBS = ("ring", "integrate", "degree", "zeta", "csm", "ix", "stringy")
+
+
+def cases():
+    """The argument lists of every case, fixture paths relative to the root."""
+    fixtures = sorted(p.name for p in (ROOT / "fixtures").glob("*.json"))
+    out = [
+        [verb, f"fixtures/{name}", "--format", fmt]
+        for name in fixtures for verb in VERBS for fmt in ("text", "json")
+    ]
+    out.append(["verify", "all", "--instances", "20", "--seed", "1"])
+    return out
+
+
+def run_case(argv):
+    """Exit code, stdout and stderr of one invocation; run from ROOT."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main():
+    os.chdir(ROOT)
+    recorded = {" ".join(argv): run_case(argv) for argv in cases()}
+    with open(OUTPUTS, "w", encoding="utf-8") as handle:
+        json.dump(recorded, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {len(recorded)} cases in {OUTPUTS.relative_to(ROOT)}")
+
+
+if __name__ == "__main__":
+    main()
