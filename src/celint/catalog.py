@@ -278,10 +278,16 @@ def ring_literal(spec: dict) -> ChowRing:
     try:
         dim = int(spec["dim"])
         basis = spec["basis"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise PresentationError(f"literal ring is missing valid dim/basis: {exc}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PresentationError(f"literal ring dim must be a whole number: {exc}")
     if not isinstance(basis, list) or not all(isinstance(level, list) for level in basis):
         raise PresentationError("literal basis must be a list of lists by codimension")
+    for level in basis:
+        for name in level:
+            if not isinstance(name, str):
+                raise PresentationError(f"literal basis name {name!r} must be a string")
     if len(basis) != dim + 1 or not basis or len(basis[0]) != 1:
         raise PresentationError(
             "literal basis must have dim+1 graded pieces with a single codimension-0 element"
@@ -323,7 +329,7 @@ def ring_literal(spec: dict) -> ChowRing:
     for name, value in (spec.get("degree") or {}).items():
         try:
             degree[name] = Fraction(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, ZeroDivisionError):
             raise PresentationError(f"degree of {name!r} must be rational")
     chern = None
     if spec.get("chern") is not None:

@@ -9,13 +9,20 @@ that is validated exhaustively before use. The constructors live in
 `celint.catalog` and are re-exported here.
 
 Class coefficients live in Q(m), so one class value can carry a whole
-family of computations; evaluation at a rational m specializes it.
+family of computations; evaluation at a rational m specializes it. A
+class whose coefficients all lie in Q, the common case, is held as one
+vector of Python ints over a positive common denominator, reduced so
+that the denominator and the numerators share no factor; its sums,
+scalings, products and inverses stay in ints. Only a class with an
+m-dependent coefficient holds RationalFunctions, and it takes the Q(m)
+arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -34,6 +41,9 @@ from .exactnum import (
     rf,
 )
 from .exprparse import parse_expression
+
+_set = object.__setattr__
+
 
 class ChowRing:
     """Graded basis presentation with rational structure constants.
@@ -96,9 +106,7 @@ class ChowRing:
         self.tangent_chern = None
         self._validate()
         if tangent_chern_coeffs is not None:
-            self.tangent_chern = ChowClass(self, {
-                name: rf(c) for name, c in tangent_chern_coeffs.items()
-            })
+            self.tangent_chern = ChowClass(self, tangent_chern_coeffs)
             self._validate_chern()
 
     def _validate(self):
@@ -149,7 +157,7 @@ class ChowRing:
                 ab = self.mul_basis(a, b)
                 for c in nonunit:
                     left = self._mul_dict_basis(ab, c)
-                    right = self._mul_basis_dict(a, self.mul_basis(b, c))
+                    right = self._mul_dict_basis(self.mul_basis(b, c), a)
                     if left != right:
                         raise PresentationError(
                             f"associativity fails on ({a}*{b})*{c}"
@@ -157,11 +165,11 @@ class ChowRing:
 
     def _validate_chern(self):
         chern = self.tangent_chern
-        for name, c in chern.coeffs.items():
-            if not c.is_constant():
-                raise PresentationError(
-                    f"tangent Chern coefficient on {name!r} must be constant"
-                )
+        if not chern.is_constant():
+            name = next(n for n, c in chern.coeffs.items() if not c.is_constant())
+            raise PresentationError(
+                f"tangent Chern coefficient on {name!r} must be constant"
+            )
         if chern.coefficient(self.fundamental) != RF_ONE:
             raise PresentationError(
                 "tangent Chern class must have codimension-0 part 1"
@@ -203,6 +211,7 @@ class ChowRing:
         return self.integer_products
 
     def _mul_dict_basis(self, d: dict, c: str) -> dict:
+        """The product of a {name: Fraction} combination with a basis name."""
         out = {}
         for name, coeff in d.items():
             for res, f in self.mul_basis(name, c).items():
@@ -213,27 +222,16 @@ class ChowRing:
                     out[res] = v
         return out
 
-    def _mul_basis_dict(self, a: str, d: dict) -> dict:
-        out = {}
-        for name, coeff in d.items():
-            for res, f in self.mul_basis(a, name).items():
-                v = out.get(res, Fraction(0)) + coeff * f
-                if v == 0:
-                    out.pop(res, None)
-                else:
-                    out[res] = v
-        return out
-
     def zero(self) -> "ChowClass":
-        return ChowClass(self, {})
+        return ChowClass._from_ints(self, 1, {})
 
     def one(self) -> "ChowClass":
-        return ChowClass(self, {self.fundamental: RF_ONE})
+        return ChowClass._from_ints(self, 1, {self.fundamental: 1})
 
     def basis_class(self, name: str) -> "ChowClass":
         if name not in self.codim_of:
             raise RingMismatch(f"{name!r} is not a basis element of this ring")
-        return ChowClass(self, {name: RF_ONE})
+        return ChowClass._from_ints(self, 1, {name: 1})
 
     def require_tangent_chern(self) -> "ChowClass":
         if self.tangent_chern is None:
@@ -254,34 +252,65 @@ class ChowRing:
 
 
 class ChowClass:
-    """Linear combination of basis elements with coefficients in Q(m)."""
+    """Linear combination of basis elements with coefficients in Q(m).
 
-    __slots__ = ("ring", "coeffs", "_hash")
+    A class whose coefficients all lie in Q is held in integer form: a
+    denominator `_den` > 0 and a dict `_ints` of nonzero int numerators
+    by basis name, with gcd(_den, *_ints.values()) = 1, so the
+    coefficient on a name is _ints[name]/_den. Any other class holds its
+    nonzero coefficients as RationalFunctions in `_coeffs`, and `_den`
+    and `_ints` are None. Each value has exactly one such form, so `==`
+    and `hash` compare forms directly. `coeffs` is the RationalFunction
+    view of either form, built on first read for an integer form.
+    """
+
+    __slots__ = ("ring", "_den", "_ints", "_coeffs", "_hash")
 
     def __init__(self, ring: ChowRing, coeffs: dict):
-        object.__setattr__(self, "ring", ring)
-        clean = {}
+        values = {}
         for name, c in coeffs.items():
             if name not in ring.codim_of:
                 raise RingMismatch(f"{name!r} is not a basis element of this ring")
-            c = rf(c)
-            if not c.is_zero():
-                clean[name] = c
-        object.__setattr__(self, "coeffs", clean)
+            values[name] = rf(c)
+        _fill(self, ring, values)
 
     @classmethod
     def _make(cls, ring: ChowRing, coeffs: dict) -> "ChowClass":
         """Trusted constructor: names are basis names of ring and values
-        RationalFunctions; only zero coefficients are dropped."""
+        RationalFunctions; zero coefficients are dropped."""
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self, "coeffs", {n: c for n, c in coeffs.items() if c.num.coeffs}
-        )
+        _fill(self, ring, coeffs)
+        return self
+
+    @classmethod
+    def _from_ints(cls, ring: ChowRing, den: int, ints: dict) -> "ChowClass":
+        """Trusted constructor of the integer form: den > 0 and ints maps
+        basis names of ring to nonzero ints; common factors are removed."""
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {n: v // g for n, v in ints.items()}
+        self = object.__new__(cls)
+        _set(self, "ring", ring)
+        _set(self, "_den", den)
+        _set(self, "_ints", ints)
+        _set(self, "_coeffs", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowClass is immutable")
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as RationalFunctions, by basis name."""
+        if self._coeffs is None:
+            d = self._den
+            constant = RationalFunction.constant
+            _set(self, "_coeffs", {
+                n: constant(Fraction(v, d)) for n, v in self._ints.items()
+            })
+        return self._coeffs
 
     def _check_ring(self, other: "ChowClass"):
         if self.ring is not other.ring:
@@ -290,26 +319,36 @@ class ChowClass:
     def coefficient(self, name: str) -> RationalFunction:
         return self.coeffs.get(name, RF_ZERO)
 
+    def is_constant(self) -> bool:
+        """True when no coefficient depends on m."""
+        return self._ints is not None
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self._ints is not None and not self._ints
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ChowClass)
-            and self.ring is other.ring
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, ChowClass) or self.ring is not other.ring:
+            return False
+        if self._ints is not None:
+            return self._den == other._den and self._ints == other._ints
+        return other._ints is None and self._coeffs == other._coeffs
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash((id(self.ring), frozenset(self.coeffs.items())))
-            object.__setattr__(self, "_hash", h)
+            if self._ints is not None:
+                key = (self._den, frozenset(self._ints.items()))
+            else:
+                key = frozenset(self._coeffs.items())
+            h = hash((id(self.ring), key))
+            _set(self, "_hash", h)
             return h
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check_ring(other)
+        if self._ints is not None and other._ints is not None:
+            return _sum_ints(self, other)
         out = dict(self.coeffs)
         for name, c in other.coeffs.items():
             prev = out.get(name)
@@ -317,30 +356,50 @@ class ChowClass:
         return ChowClass._make(self.ring, out)
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass._make(self.ring, {n: -c for n, c in self.coeffs.items()})
+        if self._ints is not None:
+            return ChowClass._from_ints(
+                self.ring, self._den, {n: -v for n, v in self._ints.items()})
+        return ChowClass._make(self.ring, {n: -c for n, c in self._coeffs.items()})
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
     def scale(self, c) -> "ChowClass":
-        c = rf(c)
-        if c.is_zero():
+        c = _scalar(c)
+        if c == 0:
             return self.ring.zero()
+        if self._ints is not None and type(c) is Fraction:
+            k = c.numerator
+            return ChowClass._from_ints(
+                self.ring, self._den * c.denominator,
+                {n: v * k for n, v in self._ints.items()})
+        c = rf(c)
         return ChowClass._make(self.ring, {n: v * c for n, v in self.coeffs.items()})
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         """Product in the ring, by one of two paths with equal results.
 
-        When every coefficient of both factors is a constant of Q(m)
-        (numerator of degree at most 0, denominator 1), the product is
-        summed in integers over the ring's `integer_table`, and each
-        output coefficient is reduced once at the end. Any other pair
-        goes through the loop over Q(m) coefficients below.
+        Two classes in integer form multiply in Python ints over the
+        ring's `integer_table`, with the common factors removed once at
+        the end. Any other pair goes through the loop over Q(m)
+        coefficients below.
         """
         self._check_ring(other)
-        if _all_constant(self.coeffs) and _all_constant(other.coeffs):
-            return self._mul_integers(
-                _integer_form(self.coeffs), _integer_form(other.coeffs))
+        xs, ys = self._ints, other._ints
+        if xs is not None and ys is not None:
+            d, rows = self.ring.integer_table()
+            out = {}
+            for a, xa in xs.items():
+                row = rows[a]
+                for b, yb in ys.items():
+                    entries = row.get(b)
+                    if entries:
+                        xy = xa * yb
+                        for name, k in entries:
+                            out[name] = out.get(name, 0) + xy * k
+            return ChowClass._from_ints(
+                self.ring, self._den * other._den * d,
+                {n: v for n, v in out.items() if v})
         mul_basis = self.ring.mul_basis
         out = {}
         for a, ca in self.coeffs.items():
@@ -355,27 +414,6 @@ class ChowClass:
                     out[name] = term if prev is None else prev + term
         return ChowClass._make(self.ring, out)
 
-    def _mul_integers(self, x, y) -> "ChowClass":
-        """Product of two classes given in `_integer_form`."""
-        d, rows = self.ring.integer_table()
-        dx, xs = x
-        dy, ys = y
-        out = {}
-        for a, xa in xs:
-            row = rows[a]
-            for b, yb in ys:
-                entries = row.get(b)
-                if entries:
-                    xy = xa * yb
-                    for name, k in entries:
-                        out[name] = out.get(name, 0) + xy * k
-        den = dx * dy * d
-        constant = RationalFunction.constant
-        return ChowClass._make(self.ring, {
-            name: constant(Fraction(n) if den == 1 else Fraction(n, den))
-            for name, n in out.items()
-        })
-
     def __pow__(self, k: int) -> "ChowClass":
         if k < 0:
             return self.inverse() ** (-k)
@@ -388,17 +426,21 @@ class ChowClass:
             k >>= 1
         return result
 
-    def graded_piece(self, codim: int) -> "ChowClass":
+    def _select(self, keep) -> "ChowClass":
+        """The part of this class on the basis names whose codimension
+        satisfies keep."""
+        codim_of = self.ring.codim_of
+        if self._ints is not None:
+            return ChowClass._from_ints(self.ring, self._den, {
+                n: v for n, v in self._ints.items() if keep(codim_of[n])})
         return ChowClass._make(self.ring, {
-            n: c for n, c in self.coeffs.items()
-            if self.ring.codim_of[n] == codim
-        })
+            n: c for n, c in self._coeffs.items() if keep(codim_of[n])})
+
+    def graded_piece(self, codim: int) -> "ChowClass":
+        return self._select(lambda k: k == codim)
 
     def positive_part(self) -> "ChowClass":
-        return ChowClass._make(self.ring, {
-            n: c for n, c in self.coeffs.items()
-            if self.ring.codim_of[n] > 0
-        })
+        return self._select(lambda k: k > 0)
 
     def inverse(self) -> "ChowClass":
         """Inverse of a class whose codimension-0 part c0 is nonzero.
@@ -406,51 +448,67 @@ class ChowClass:
         With u = -(positive part)/c0 the inverse is (1/c0) * sum u^k;
         u is nilpotent, so the series terminates after dim steps.
         """
-        c0 = self.coefficient(self.ring.fundamental)
-        if c0.is_zero():
+        fundamental = self.ring.fundamental
+        if self._ints is not None:
+            n0 = self._ints.get(fundamental)
+            inv_c0 = None if n0 is None else Fraction(self._den, n0)
+        else:
+            c0 = self._coeffs.get(fundamental)
+            inv_c0 = None if c0 is None else _scalar(RF_ONE / c0)
+        if inv_c0 is None:
             raise DivisionByZero(
                 "cannot invert a class with zero codimension-0 part"
             )
-        unit = c0 == RF_ONE
+        unit = inv_c0 == 1
         u = -self.positive_part()
         if not unit:
-            u = u.scale(RF_ONE / c0)
+            u = u.scale(inv_c0)
         result = power = self.ring.one()
         for _ in range(self.ring.dim):
             power = power * u
             if power.is_zero():
                 break
             result = result + power
-        return result if unit else result.scale(RF_ONE / c0)
+        return result if unit else result.scale(inv_c0)
 
     def __truediv__(self, other: "ChowClass") -> "ChowClass":
         self._check_ring(other)
         return self * other.inverse()
 
     def degree(self) -> RationalFunction:
+        ring = self.ring
+        if self._ints is not None:
+            total = sum(
+                (v * ring.degree_values[n] for n, v in self._ints.items()
+                 if ring.codim_of[n] == ring.dim), Fraction(0))
+            return RationalFunction.constant(total / self._den)
         total = RF_ZERO
-        for name, c in self.coeffs.items():
-            if self.ring.codim_of[name] == self.ring.dim:
-                total = total + c * rf(self.ring.degree_values[name])
+        for name, c in self._coeffs.items():
+            if ring.codim_of[name] == ring.dim:
+                total = total + c * rf(ring.degree_values[name])
         return total
 
     def evaluate(self, x) -> "ChowClass":
+        if self._ints is not None:
+            return self
         return ChowClass(self.ring, {
-            n: rf(c.evaluate(x)) for n, c in self.coeffs.items()
+            n: c.evaluate(x) for n, c in self._coeffs.items()
         })
 
     def is_pure_codim(self, codim: int) -> bool:
-        return all(self.ring.codim_of[n] == codim for n in self.coeffs)
+        names = self._ints if self._ints is not None else self._coeffs
+        return all(self.ring.codim_of[n] == codim for n in names)
 
     def render(self) -> str:
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
-        pieces = []
-        for name in self.ring.all_names:
-            c = self.coeffs.get(name)
-            if c is None:
-                continue
-            pieces.append(_render_term(c, name))
+        names = self.ring.all_names
+        if self._ints is not None:
+            ints, d = self._ints, self._den
+            pieces = [_render_ratio(ints[n], d, n) for n in names if n in ints]
+        else:
+            coeffs = self._coeffs
+            pieces = [_render_term(coeffs[n], n) for n in names if n in coeffs]
         neg, body = pieces[0]
         out = ("-" if neg else "") + body
         for neg, body in pieces[1:]:
@@ -464,45 +522,66 @@ class ChowClass:
         return f"ChowClass({self.render()!r})"
 
 
-def _all_constant(coeffs: dict) -> bool:
-    """True when no coefficient depends on m."""
-    return all(map(RationalFunction.is_constant, coeffs.values()))
+def _fill(self: ChowClass, ring: ChowRing, values: dict):
+    """Set the slots of a new class from RationalFunction coefficients,
+    in integer form when every nonzero coefficient is a constant."""
+    clean = {n: c for n, c in values.items() if not c.is_zero()}
+    _set(self, "ring", ring)
+    _set(self, "_coeffs", clean)
+    if all(map(RationalFunction.is_constant, clean.values())):
+        fracs = {n: c.as_fraction() for n, c in clean.items()}
+        den = lcm(*(q.denominator for q in fracs.values()))
+        _set(self, "_den", den)
+        _set(self, "_ints", {
+            n: q.numerator * (den // q.denominator) for n, q in fracs.items()})
+    else:
+        _set(self, "_den", None)
+        _set(self, "_ints", None)
 
 
-def _integer_form(coeffs: dict):
-    """(d, [(name, n), ...]) with each coefficient equal to n/d, where d
-    is the lcm of the coefficient denominators; every coefficient must
-    be a constant of Q(m)."""
-    items = []
-    d = 1
-    for name, c in coeffs.items():
-        q = c.as_fraction()
-        items.append((name, q))
-        if q.denominator != 1:
-            d = lcm(d, q.denominator)
-    if d == 1:
-        return 1, [(name, q.numerator) for name, q in items]
-    return d, [(name, q.numerator * (d // q.denominator)) for name, q in items]
+def _sum_ints(x: ChowClass, y: ChowClass) -> ChowClass:
+    """x + y for two classes in integer form."""
+    den = x._den if x._den == y._den else lcm(x._den, y._den)
+    sx, sy = den // x._den, den // y._den
+    out = dict(x._ints) if sx == 1 else {n: v * sx for n, v in x._ints.items()}
+    for name, v in y._ints.items():
+        total = out.get(name, 0) + v * sy
+        if total:
+            out[name] = total
+        else:
+            del out[name]
+    return ChowClass._from_ints(x.ring, den, out)
+
+
+def _scalar(c):
+    """c as a Fraction when it is a constant of Q(m), else as a
+    RationalFunction."""
+    if isinstance(c, (int, Fraction)):
+        return as_fraction(c)
+    c = rf(c)
+    return c.as_fraction() if c.is_constant() else c
 
 
 def _render_term(c: RationalFunction, name: str):
-    """Return (negated, body) so callers can join terms with signs."""
+    """Return (negated, body) for the coefficient c on name, so callers
+    can join terms with signs."""
     if c.is_constant():
-        f = c.as_fraction()
-        neg = f < 0
-        a = abs(f)
-        if a == 1:
-            return neg, name
-        if a.denominator == 1:
-            return neg, f"{a.numerator}*{name}"
-        return neg, f"({a.numerator}/{a.denominator})*{name}"
-    lead = c.num.leading()
-    neg = lead < 0
-    cabs = -c if neg else c
-    s = cabs.render()
-    if cabs.den.degree == 0 and sum(1 for x in cabs.num.coeffs if x != 0) > 1:
+        q = c.as_fraction()
+        return _render_ratio(q.numerator, q.denominator, name)
+    neg = c.sign() < 0
+    s = (-c if neg else c).render()
+    if c.is_sum():
         s = f"({s})"
     return neg, f"{s}*{name}"
+
+
+def _render_ratio(n: int, d: int, name: str):
+    """`_render_term` for the constant coefficient n/d, with d > 0."""
+    g = gcd(n, d)
+    a, d = abs(n) // g, d // g
+    if d != 1:
+        return n < 0, f"({a}/{d})*{name}"
+    return n < 0, name if a == 1 else f"{a}*{name}"
 
 
 class PushForwardMap:
@@ -529,18 +608,12 @@ class PushForwardMap:
     def push(self, c: ChowClass) -> ChowClass:
         if c.ring is not self.source:
             raise RingMismatch("class does not live in the source ring of this map")
-        out = self.target.zero()
-        for name, coeff in c.coeffs.items():
-            out = out + self.forward[name].scale(coeff)
-        return out
+        return _image(self.target, self.forward, c)
 
     def pull(self, c: ChowClass) -> ChowClass:
         if c.ring is not self.target:
             raise RingMismatch("class does not live in the target ring of this map")
-        out = self.source.zero()
-        for name, coeff in c.coeffs.items():
-            out = out + self.pullback[name].scale(coeff)
-        return out
+        return _image(self.source, self.pullback, c)
 
     def then(self, other: "PushForwardMap") -> "PushForwardMap":
         """Compose with a further push-forward applied after this one."""
@@ -560,19 +633,17 @@ class PushForwardMap:
         for name, cls in self.forward.items():
             if cls.ring is not tgt:
                 raise PresentationError(f"forward image of {name!r} lives in the wrong ring")
-            for res, c in cls.coeffs.items():
-                if not c.is_constant():
-                    raise PresentationError(f"forward image of {name!r} must have constant coefficients")
-                if tgt.codim_of[res] != src.codim_of[name]:
-                    raise PresentationError(f"forward image of {name!r} violates the grading")
+            if not cls.is_constant():
+                raise PresentationError(f"forward image of {name!r} must have constant coefficients")
+            if not cls.is_pure_codim(src.codim_of[name]):
+                raise PresentationError(f"forward image of {name!r} violates the grading")
         for name, cls in self.pullback.items():
             if cls.ring is not src:
                 raise PresentationError(f"pullback of {name!r} lives in the wrong ring")
-            for res, c in cls.coeffs.items():
-                if not c.is_constant():
-                    raise PresentationError(f"pullback of {name!r} must have constant coefficients")
-                if src.codim_of[res] != tgt.codim_of[name]:
-                    raise PresentationError(f"pullback of {name!r} violates the grading")
+            if not cls.is_constant():
+                raise PresentationError(f"pullback of {name!r} must have constant coefficients")
+            if not cls.is_pure_codim(tgt.codim_of[name]):
+                raise PresentationError(f"pullback of {name!r} violates the grading")
         for name in tgt.all_names:
             if self.push(self.pullback[name]) != tgt.basis_class(name):
                 raise PresentationError(
@@ -608,6 +679,15 @@ class PushForwardMap:
                 )
 
 
+def _image(ring: ChowRing, images: dict, c: ChowClass) -> ChowClass:
+    """The sum over the basis names of c of its coefficient times images[name]."""
+    terms, d = (c._ints, c._den) if c.is_constant() else (c._coeffs, 1)
+    out = ring.zero()
+    for name, coeff in terms.items():
+        out = out + images[name].scale(coeff)
+    return out if d == 1 else out.scale(Fraction(1, d))
+
+
 def identity_map(ring: ChowRing) -> PushForwardMap:
     ident = {n: ring.basis_class(n) for n in ring.all_names}
     return PushForwardMap(ring, ring, ident, dict(ident), label="id")
@@ -620,7 +700,7 @@ class _ClassAlgebra:
         self.ring = ring
 
     def const(self, c: Fraction) -> ChowClass:
-        return self.ring.one().scale(rf(c))
+        return self.ring.one().scale(c)
 
     def name(self, name: str) -> ChowClass:
         if name == "m" and "m" not in self.ring.codim_of:
@@ -631,29 +711,12 @@ class _ClassAlgebra:
             return self.ring.basis_class(name)
         raise ParseError(f"unknown name {name!r} in class expression")
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow(a, k: int):
-        return a**k
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
+    pow = staticmethod(operator.pow)
 
 
 def parse_class(text: str, ring: ChowRing) -> ChowClass:

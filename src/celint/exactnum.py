@@ -305,6 +305,17 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return len(self.num.coeffs) <= 1 and len(self.den.coeffs) == 1
 
+    def sign(self) -> int:
+        """Sign (-1, 0 or 1) of the leading coefficient of the numerator;
+        the denominator is monic."""
+        lead = self.num.leading()
+        return (lead > 0) - (lead < 0)
+
+    def is_sum(self) -> bool:
+        """True when `render` shows a polynomial of more than one term,
+        which needs parentheses as a factor of a product."""
+        return len(self.den.coeffs) == 1 and sum(1 for c in self.num.coeffs if c) > 1
+
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")

@@ -99,11 +99,10 @@ class NCConfig:
                 raise NotADivisor(
                     f"component {comp.name!r} is not a pure codimension-1 class"
                 )
-            for c in comp.divisor.coeffs.values():
-                if not c.is_constant():
-                    raise NotADivisor(
-                        f"component {comp.name!r} must have constant coefficients"
-                    )
+            if not comp.divisor.is_constant():
+                raise NotADivisor(
+                    f"component {comp.name!r} must have constant coefficients"
+                )
             _check_mult(comp.name, comp.mult)
             _check_decomposition(comp.name, comp.mult, comp.decomposition)
             self.by_name[comp.name] = comp

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -610,3 +611,188 @@ def test_failing_blowup_raises_on_every_call():
             with pytest.raises(error):
                 ring_blowup_point(ring)
         assert ring.blown_up is None
+
+
+# A class with constant coefficients is held as integers over one
+# denominator; every operation on that form is checked against the same
+# operation done coefficient by coefficient in Q(m).
+
+
+def reference_render(x):
+    """The render of a class from its Q(m) coefficients alone."""
+    pieces = []
+    for name in x.ring.all_names:
+        c = x.coeffs.get(name)
+        if c is None:
+            continue
+        lead = c.num.leading()
+        cabs = -c if lead < 0 else c
+        if cabs == rf(1):
+            body = name
+        else:
+            s = cabs.render()
+            if cabs.den.degree == 0 and sum(1 for t in cabs.num.coeffs if t) > 1:
+                s = f"({s})"
+            elif cabs.is_constant() and cabs.as_fraction().denominator != 1:
+                s = f"({s})"
+            body = f"{s}*{name}"
+        pieces.append((lead < 0, body))
+    if not pieces:
+        return "0"
+    out = ("-" if pieces[0][0] else "") + pieces[0][1]
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+def assert_integer_form(x):
+    """The representation invariant of ChowClass."""
+    constant = all(c.is_constant() for c in x.coeffs.values())
+    assert x.is_constant() == constant
+    if constant:
+        assert type(x._den) is int and x._den > 0
+        assert all(type(v) is int and v for v in x._ints.values())
+        assert math.gcd(x._den, *x._ints.values()) == 1
+        assert {n: Fraction(v, x._den) for n, v in x._ints.items()} == {
+            n: c.as_fraction() for n, c in x.coeffs.items()}
+    else:
+        assert x._den is None and x._ints is None
+
+
+def assert_same(result, expected):
+    assert result == expected and expected == result
+    assert hash(result) == hash(expected)
+    assert result.render() == expected.render() == reference_render(expected)
+    assert_integer_form(result)
+
+
+MIXED_TEXTS = CONSTANT_TEXTS + ("m", "1 + m", "m/(1 + m)", "(2 - m)/(3 + m)^2")
+SCALARS = (0, 1, -1, 3, Fraction(-2, 3), rf(Fraction(5, 4)), parse_rf("m"),
+           parse_rf("1/(1 + 2*m)"), parse_rf("(2 - m)/(3 + m)^2"))
+
+
+@st.composite
+def class_pairs(draw):
+    """Two classes on one ring, each mostly constant, and a scalar."""
+    ring = draw(st.sampled_from(CONSTANT_RINGS))
+
+    def cls():
+        texts = draw(st.sampled_from((CONSTANT_TEXTS, CONSTANT_TEXTS, MIXED_TEXTS)))
+        return ChowClass(ring, {
+            name: parse_rf(draw(st.sampled_from(texts)))
+            for name in ring.all_names if draw(st.booleans())
+        })
+
+    return cls(), cls(), draw(st.sampled_from(SCALARS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(class_pairs())
+@example((P2.one().scale(Fraction(1, 2)), P2.one().scale(Fraction(1, 2)), 2))
+@example((parse_class("h/2 + h^2/3", P2), parse_class("-h/2", P2), Fraction(6)))
+@example((RATIONAL_LITERAL.zero(), RATIONAL_LITERAL.one(), rf(0)))
+def test_class_arithmetic_matches_coefficientwise_qm(triple):
+    x, y, s = triple
+    ring = x.ring
+    cx = {n: x.coefficient(n) for n in ring.all_names}
+    cy = {n: y.coefficient(n) for n in ring.all_names}
+    for c in (x, y):
+        assert_integer_form(c)
+        assert_same(ChowClass(ring, {n: c.coefficient(n) for n in ring.all_names}), c)
+    assert_same(x + y, ChowClass(ring, {n: cx[n] + cy[n] for n in cx}))
+    assert_same(x - y, ChowClass(ring, {n: cx[n] - cy[n] for n in cx}))
+    assert_same(-x, ChowClass(ring, {n: -cx[n] for n in cx}))
+    assert_same(x.scale(s), ChowClass(ring, {n: cx[n] * rf(s) for n in cx}))
+    for k in range(ring.dim + 1):
+        assert_same(x.graded_piece(k), ChowClass(ring, {
+            n: c for n, c in cx.items() if ring.codim_of[n] == k}))
+    assert_same(x.positive_part(), ChowClass(ring, {
+        n: c for n, c in cx.items() if ring.codim_of[n] > 0}))
+    assert_same(x * y, reference_product(x, y))
+    top = [n for n in ring.all_names if ring.codim_of[n] == ring.dim]
+    degree = rf(0)
+    for n in top:
+        degree = degree + cx[n] * rf(ring.degree_values[n])
+    assert x.degree() == degree
+    point = Fraction(29, 7)
+    assert_same(x.evaluate(point), ChowClass(ring, {
+        n: rf(c.evaluate(point)) for n, c in cx.items()}))
+    if not cx[ring.fundamental].is_zero():
+        inverse = x.inverse()
+        assert_same(inverse, reference_inverse(x))
+        assert_same(x * inverse, ring.one())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(CONSTANT_RINGS), st.sampled_from(CONSTANT_TEXTS[1:]),
+       st.lists(st.sampled_from(CONSTANT_TEXTS), min_size=8, max_size=8))
+def test_constant_inverse_with_unit_and_other_c0(ring, c0, rest):
+    x = ChowClass(ring, {ring.fundamental: parse_rf(c0), **{
+        n: parse_rf(t) for n, t in zip(ring.all_names[1:], rest)}})
+    inverse = x.inverse()
+    assert_same(inverse, reference_inverse(x))
+    assert x * inverse == ring.one() == inverse * x
+
+
+def test_equal_values_from_every_construction_agree():
+    h = P2.basis_class("h")
+    built = ChowClass(P2, {P2.fundamental: Fraction(1, 2), "h": rf(1), "h^2": 3})
+    by_arithmetic = [
+        (P2.one() + h.scale(2) + (h * h).scale(6)).scale(Fraction(1, 2)),
+        P2.one().scale(Fraction(1, 2)) + h - (-(h * h)).scale(3),
+        parse_class("1/2 + h + 3*h^2", P2),
+        (P2.one().scale(2) + h.scale(4) + (h * h).scale(12)).scale(rf(Fraction(1, 4))),
+        parse_class("(1 + m)/2 + h + 3*h^2", P2) - P2.one().scale(RF_M / rf(2)),
+    ]
+    for value in by_arithmetic:
+        assert value == built and hash(value) == hash(built)
+        assert_integer_form(value)
+    assert len({built, *by_arithmetic}) == 1
+    assert built != ChowClass(P2, {P2.fundamental: RF_M}) != built
+    assert P2.zero() == ChowClass(P2, {"h": 0}) == h - h
+    assert hash(P2.zero()) == hash(h - h)
+
+
+def test_constant_chain_builds_no_rational_function(monkeypatch):
+    from celint.exactnum import RationalFunction
+
+    x = parse_class("2 - 3*h + e1/2 + 5*h^2", BL_P2)
+    y = parse_class("-1 + h/3 - 4*e1", BL_P2)
+    built = []
+    make = RationalFunction._make
+    init = RationalFunction.__init__
+
+    def counting_make(cls, num, den):
+        built.append("make")
+        return make(num, den)
+
+    def counting_init(self, *args):
+        built.append("init")
+        init(self, *args)
+
+    monkeypatch.setattr(RationalFunction, "_make", classmethod(counting_make))
+    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    z = (x * y + y.scale(Fraction(-3, 7))) * x - y * y
+    w = (z + BL_P2.one().scale(5)).inverse() * x
+    assert built == []
+    assert w.render() and w.graded_piece(1).is_pure_codim(1)
+    assert built == []
+    coefficients = w.coeffs
+    assert len(built) == len(coefficients) > 0
+    assert w.coeffs is coefficients and len(built) == len(coefficients)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(MIXED_TEXTS), min_size=4, max_size=4),
+       st.lists(st.sampled_from(MIXED_TEXTS), min_size=3, max_size=3))
+def test_push_and_pull_match_coefficientwise_qm(upstairs, downstairs):
+    _, down, _ = ring_blowup_point(P2)
+    x = ChowClass(BL_P2, dict(zip(BL_P2.all_names, map(parse_rf, upstairs))))
+    y = ChowClass(P2, dict(zip(P2.all_names, map(parse_rf, downstairs))))
+    for f, c, images, ring in ((down.push, x, down.forward, P2),
+                               (down.pull, y, down.pullback, BL_P2)):
+        expected = {n: rf(0) for n in ring.all_names}
+        for name, coeff in c.coeffs.items():
+            for n, v in images[name].coeffs.items():
+                expected[n] = expected[n] + coeff * v
+        assert_same(f(c), ChowClass(ring, expected))

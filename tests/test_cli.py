@@ -345,3 +345,33 @@ def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys, text):
     assert out == ""
     assert err.startswith("error: SchemaError:")
     assert "deep.json" in err and "nests" in err
+
+
+LITERAL_P1 = {"dim": 1, "basis": [["[W]"], ["P"]], "degree": {"P": 1},
+              "point": "P"}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"degree": {"P": "1/0"}}, "degree of 'P' must be rational"),
+    ({"dim": float("inf")}, "literal ring dim must be a whole number"),
+    ({"basis": [["[W]"], [3]]}, "literal basis name 3 must be a string"),
+])
+def test_malformed_literal_ring_is_a_presentation_error(tmp_path, capsys,
+                                                        change, message):
+    model = tmp_path / "literal.json"
+    model.write_text(json.dumps({"ring": {
+        "catalog": "literal", "presentation": {**LITERAL_P1, **change},
+    }}))
+    code, out, err = run_cli(capsys, "ring", model)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: PresentationError: {message}")
+
+
+def test_literal_ring_of_the_malformed_cases_is_valid(tmp_path, capsys):
+    model = tmp_path / "literal.json"
+    model.write_text(json.dumps({"ring": {
+        "catalog": "literal", "presentation": LITERAL_P1,
+    }}))
+    code, out, err = run_cli(capsys, "ring", model)
+    assert (code, err) == (0, "")
+    assert out.startswith("dimension 1\n")
