@@ -3,7 +3,8 @@
 Catalog constructors build the point, projective spaces, binary
 products of projective spaces and iterated point blow-ups, with their
 tangent Chern classes and blow-down maps. Any other ring enters through
-a literal presentation, validated exhaustively before use.
+a literal presentation, which `celint.modelfile` reads and validates
+exhaustively before use.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .chow import ChowRing, PushForwardMap, identity_map
-from .errors import ParseError, PresentationError, UnsupportedCatalog
-from .exprparse import parse_expression
-
+from .errors import PresentationError, UnsupportedCatalog
 
 
 def ring_point() -> ChowRing:
@@ -200,147 +199,11 @@ def _blowup_point(base: ChowRing):
     return ring, blowdown, ring.basis_class(e)
 
 
-class _LinCombAlgebra:
-    """Expression values for literal ring data: constant + linear basis part."""
-
-    @staticmethod
-    def const(c: Fraction):
-        return (c, {})
-
-    @staticmethod
-    def name(name: str):
-        return (Fraction(0), {name: Fraction(1)})
-
-    @staticmethod
-    def add(a, b):
-        ca, va = a
-        cb, vb = b
-        out = dict(va)
-        for k, v in vb.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return (ca + cb, {k: v for k, v in out.items() if v != 0})
-
-    @staticmethod
-    def sub(a, b):
-        return _LinCombAlgebra.add(a, _LinCombAlgebra.neg(b))
-
-    @staticmethod
-    def neg(a):
-        c, v = a
-        return (-c, {k: -x for k, x in v.items()})
-
-    @staticmethod
-    def mul(a, b):
-        ca, va = a
-        cb, vb = b
-        if va and vb:
-            raise ParseError(
-                "literal ring data must be linear in the basis names"
-            )
-        if va:
-            return (ca * cb, {k: v * cb for k, v in va.items() if v * cb != 0})
-        return (ca * cb, {k: v * ca for k, v in vb.items() if v * ca != 0})
-
-    @staticmethod
-    def div(a, b):
-        cb, vb = b
-        if vb or cb == 0:
-            raise ParseError("literal ring data may divide by nonzero constants only")
-        ca, va = a
-        return (ca / cb, {k: v / cb for k, v in va.items()})
-
-    @staticmethod
-    def pow(a, k: int):
-        c, v = a
-        if v:
-            if k == 1:
-                return a
-            raise ParseError("literal ring data cannot raise basis names to powers")
-        if k < 0 and c == 0:
-            raise ParseError("zero to a negative power in literal ring data")
-        return (c**k, {})
-
-
-def _parse_lincomb(text: str, fundamental: str | None) -> dict:
-    c, vec = parse_expression(text, _LinCombAlgebra)
-    out = dict(vec)
-    if c != 0:
-        if fundamental is None:
-            raise ParseError("constant term is not allowed here")
-        out[fundamental] = out.get(fundamental, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def ring_literal(spec: dict) -> ChowRing:
-    """Build a ring from a literal JSON presentation, validating every axiom."""
-    if not isinstance(spec, dict):
-        raise PresentationError("literal ring presentation must be an object")
-    try:
-        dim = int(spec["dim"])
-        basis = spec["basis"]
-    except KeyError as exc:
-        raise PresentationError(f"literal ring is missing valid dim/basis: {exc}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PresentationError(f"literal ring dim must be a whole number: {exc}")
-    if not isinstance(basis, list) or not all(isinstance(level, list) for level in basis):
-        raise PresentationError("literal basis must be a list of lists by codimension")
-    for level in basis:
-        for name in level:
-            if not isinstance(name, str):
-                raise PresentationError(f"literal basis name {name!r} must be a string")
-    if len(basis) != dim + 1 or not basis or len(basis[0]) != 1:
-        raise PresentationError(
-            "literal basis must have dim+1 graded pieces with a single codimension-0 element"
-        )
-    fundamental = basis[0][0]
-    known = {name for level in basis for name in level}
-    index = {}
-    for level in basis:
-        for name in level:
-            index[name] = len(index)
-    products = {}
-    for key, value in (spec.get("products") or {}).items():
-        parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 2:
-            raise PresentationError(f"product key {key!r} must name two elements")
-        a, b = parts
-        for x in (a, b):
-            if x not in known:
-                raise PresentationError(f"product key {key!r} names unknown element {x!r}")
-        table = _parse_lincomb(str(value), fundamental) if value != 0 else {}
-        for name in table:
-            if name not in known:
-                raise PresentationError(
-                    f"product {key!r} result names unknown element {name!r}"
-                )
-        if fundamental in (a, b):
-            other = b if a == fundamental else a
-            if table != {other: Fraction(1)}:
-                raise PresentationError(f"product {key!r} breaks the unit law")
-            continue
-        if index[a] > index[b]:
-            a, b = b, a
-        if (a, b) in products and products[(a, b)] != table:
-            raise PresentationError(
-                f"products {a},{b} and {b},{a} disagree: commutativity fails"
-            )
-        products[(a, b)] = table
-    degree = {}
-    for name, value in (spec.get("degree") or {}).items():
-        try:
-            degree[name] = Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise PresentationError(f"degree of {name!r} must be rational")
-    chern = None
-    if spec.get("chern") is not None:
-        chern = _parse_lincomb(str(spec["chern"]), fundamental)
-    point = spec.get("point")
-    return ChowRing(
-        dim=dim,
-        basis=basis,
-        products=products,
-        degree_values=degree,
-        tangent_chern_coeffs=chern,
-        point=point,
-        kind=("literal",),
-    )
+    """Build a ring from a literal JSON presentation, validating every axiom.
+
+    `celint.modelfile` owns the file format and reads the presentation;
+    it builds on this module, so it is imported at call time."""
+    from .modelfile import ring_literal as read_literal
+
+    return read_literal(spec)

@@ -20,7 +20,6 @@ from .errors import (
     PreconditionViolated,
     RingMismatch,
     SchemaError,
-    UniverseMismatch,
 )
 from .exactnum import (
     RF_ONE,
@@ -47,14 +46,10 @@ class ConstructibleFunction:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        seen = set()
-        clean = []
-        for label, value in entries:
-            if label in seen:
-                raise SchemaError(f"duplicate stratum label {label!r}")
-            seen.add(label)
-            clean.append((str(label), rf(value)))
-        self.entries = tuple(clean)
+        self.entries = tuple((str(label), rf(value)) for label, value in entries)
+        labels = [label for label, _ in self.entries]
+        if len(set(labels)) != len(labels):
+            raise SchemaError(f"duplicate stratum label in {labels}")
 
     def value(self, label: str) -> RationalFunction:
         for name, v in self.entries:
@@ -145,10 +140,7 @@ def log_chern(config: NCConfig) -> ChowClass:
 def _selection_for(config, selection) -> StratumSelection:
     if selection is None:
         return StratumSelection.whole(config.names)
-    if frozenset(selection.universe) != frozenset(config.names):
-        raise UniverseMismatch(
-            "selection universe differs from the configuration components"
-        )
+    selection.check_universe(config.names)
     return selection
 
 
@@ -250,27 +242,25 @@ def alternate_form3(config: NCConfig) -> ChowClass:
     return total.scale(prefactor)
 
 
-def _require_decompositions_nc(config: NCConfig):
-    for comp in config.components:
-        if comp.decomposition is None:
+def _require_decompositions(names, decompositions: dict):
+    for name in names:
+        if decompositions.get(name) is None:
             raise MissingDecomposition(
-                f"component {comp.name!r} has no a*m + k decomposition"
+                f"component {name!r} has no a*m + k decomposition"
             )
 
 
 def zeta_class(config: NCConfig, selection: StratumSelection = None) -> ChowClass:
     """Class-level zeta value: the integral with multiplicities a_j*m + k_j."""
-    _require_decompositions_nc(config)
+    _require_decompositions(
+        config.names, {c.name: c.decomposition for c in config.components}
+    )
     return integrate_class(config, selection)
 
 
 def zeta_degree(config: DegreeConfig, selection: StratumSelection = None):
     """Degree-level zeta function with its rational pole report."""
-    for name in config.names:
-        if name not in config.decompositions:
-            raise MissingDecomposition(
-                f"component {name!r} has no a*m + k decomposition"
-            )
+    _require_decompositions(config.names, config.decompositions)
     value = integrate_degree(config, selection)
     return value, rational_poles(value)
 

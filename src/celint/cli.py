@@ -24,7 +24,7 @@ def _load_file(path: str) -> LoadedModel:
             data = json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to read
         raise SchemaError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise SchemaError(f"{path} nests its JSON too deeply to read")
@@ -114,46 +114,36 @@ def _emit_class(cls, args) -> int:
     return 0
 
 
+def _text(value: RationalFunction, args) -> str:
+    """A value rendered, or evaluated at the --eval point when one is given."""
+    if getattr(args, "eval_at", None) is None:
+        return value.render()
+    return str(value.evaluate(args.eval_at))
+
+
 def _emit_value(value: RationalFunction, args, extra=None) -> int:
-    if getattr(args, "eval_at", None) is not None:
-        result = str(value.evaluate(args.eval_at))
-        if args.format == "json":
-            payload = {"value": result}
-            payload.update(extra or {})
-            print(json.dumps(payload, indent=2))
-        else:
-            print(result)
-        return 0
+    """Print a value and the extra fields; text output with --eval omits them."""
     if args.format == "json":
-        payload = {"value": value.render()}
-        payload.update(extra or {})
-        print(json.dumps(payload, indent=2))
-    else:
-        print(value.render())
-        if extra:
-            for key, item in extra.items():
-                print(f"{key}: {item}")
+        print(json.dumps({"value": _text(value, args), **(extra or {})}, indent=2))
+        return 0
+    print(_text(value, args))
+    if extra and getattr(args, "eval_at", None) is None:
+        for key, item in extra.items():
+            print(f"{key}: {item}")
     return 0
 
 
-def _require_config(model: LoadedModel):
-    if model.config is None:
-        raise SchemaError("this model has no ring/class data")
-    return model.config
-
-
-def _require_degree_data(model: LoadedModel):
-    if model.degree_data is None:
-        raise SchemaError("this model has no chi_closed table")
-    return model.degree_data
+def _require(part, what: str):
+    """A part of the model, which must be present."""
+    if part is None:
+        raise SchemaError(f"this model has no {what}")
+    return part
 
 
 def _cmd_ring(args) -> int:
     model = _load_file(args.file)
-    if model.ring is None:
-        raise SchemaError("this model has no ring")
+    ring = _require(model.ring, "ring")
     if args.format == "json":
-        ring = model.ring
         payload = {
             "dim": ring.dim,
             "basis": [list(level) for level in ring.basis],
@@ -162,13 +152,13 @@ def _cmd_ring(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(model.ring.describe())
+        print(ring.describe())
     return 0
 
 
 def _cmd_integrate(args) -> int:
     model = _load_file(args.file)
-    config = _require_config(model)
+    config = _require(model.config, "ring/class data")
     cls = celestial.integrate_class(config, _pick_selection(model, args))
     cls = celestial.manifest(cls, _pick_chain(model, args))
     return _emit_class(cls, args)
@@ -176,7 +166,7 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_degree(args) -> int:
     model = _load_file(args.file)
-    data = _require_degree_data(model)
+    data = _require(model.degree_data, "chi_closed table")
     value = celestial.integrate_degree(data, _pick_selection(model, args))
     return _emit_value(value, args)
 
@@ -184,10 +174,10 @@ def _cmd_degree(args) -> int:
 def _cmd_zeta(args) -> int:
     model = _load_file(args.file)
     if args.degree:
-        data = _require_degree_data(model)
+        data = _require(model.degree_data, "chi_closed table")
         value, poles = celestial.zeta_degree(data, _pick_selection(model, args))
         return _emit_value(value, args, extra={"poles": poles.render()})
-    config = _require_config(model)
+    config = _require(model.config, "ring/class data")
     cls = celestial.zeta_class(config, _pick_selection(model, args))
     cls = celestial.manifest(cls, _pick_chain(model, args))
     return _emit_class(cls, args)
@@ -195,7 +185,7 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_csm(args) -> int:
     model = _load_file(args.file)
-    config = _require_config(model)
+    config = _require(model.config, "ring/class data")
     cls = celestial.csm_set(
         config, _pick_selection(model, args), _pick_chain(model, args)
     )
@@ -204,17 +194,9 @@ def _cmd_csm(args) -> int:
 
 def _cmd_ix(args) -> int:
     model = _load_file(args.file)
-    if model.fibered is None:
-        raise SchemaError("this model has no fibered data")
-    names = tuple(c.name for c in model.components)
-    selection = None
-    if getattr(args, "selection", None):
-        selection = _selection_override(args.selection, names)
-    fn = celestial.ix_function(model.fibered, selection)
-    if getattr(args, "eval_at", None) is not None:
-        entries = [(label, str(v.evaluate(args.eval_at))) for label, v in fn.entries]
-    else:
-        entries = [(label, v.render()) for label, v in fn.entries]
+    fibered = _require(model.fibered, "fibered data")
+    fn = celestial.ix_function(fibered, _pick_selection(model, args))
+    entries = [(label, _text(v, args)) for label, v in fn.entries]
     if args.format == "json":
         print(json.dumps({"values": dict(entries)}, indent=2))
     else:
@@ -225,7 +207,7 @@ def _cmd_ix(args) -> int:
 
 def _cmd_stringy(args) -> int:
     model = _load_file(args.file)
-    config = _require_config(model)
+    config = _require(model.config, "ring/class data")
     cls = celestial.stringy_class(config, _pick_chain(model, args))
     return _emit_class(cls, args)
 
@@ -240,6 +222,8 @@ def _cmd_verify(args) -> int:
                 f"{sorted(verify.SUITES)} or all"
             )
         names = [args.suite]
+    if args.instances < 1:
+        raise SchemaError(f"--instances must be at least 1, got {args.instances}")
     seed = args.seed if args.seed is not None else verify.default_seed()
     summary = {}
     failed_total = 0

@@ -150,12 +150,9 @@ class StratumSelection:
 
     def __init__(self, universe, strata=(), kind="explicit", core=()):
         self.universe = tuple(universe)
-        useen = set()
-        for name in self.universe:
-            if name in useen:
-                raise SchemaError(f"duplicate name {name!r} in selection universe")
-            useen.add(name)
         self._names = uset = frozenset(self.universe)
+        if len(uset) != len(self.universe):
+            raise SchemaError(f"duplicate name in selection universe {self.universe}")
         self.core = frozenset(core)
         self._strata = None
         if kind == "explicit":
@@ -214,20 +211,21 @@ class StratumSelection:
     def from_strata(cls, universe, strata) -> "StratumSelection":
         return cls(universe, strata)
 
-    def _check(self, other: "StratumSelection"):
-        if self._names != other._names:
-            raise UniverseMismatch("selections have different component universes")
+    def check_universe(self, names):
+        """Raise UniverseMismatch unless the universe holds exactly names."""
+        if self._names != frozenset(names):
+            raise UniverseMismatch("selection universe differs from the components")
 
     def union(self, other: "StratumSelection") -> "StratumSelection":
-        self._check(other)
+        self.check_universe(other._names)
         return StratumSelection(self.universe, self.strata | other.strata)
 
     def intersect(self, other: "StratumSelection") -> "StratumSelection":
-        self._check(other)
+        self.check_universe(other._names)
         return StratumSelection(self.universe, self.strata & other.strata)
 
     def difference(self, other: "StratumSelection") -> "StratumSelection":
-        self._check(other)
+        self.check_universe(other._names)
         return StratumSelection(self.universe, self.strata - other.strata)
 
     def complement(self) -> "StratumSelection":
@@ -339,11 +337,9 @@ class DegreeConfig:
             raise SchemaError("multiplicity table must cover exactly the components")
         for name, mult in self.mults.items():
             _check_mult(name, mult)
-        self.decompositions = dict(decompositions or {})
-        for name, dec in list(self.decompositions.items()):
-            if dec is None:
-                del self.decompositions[name]
-                continue
+        self.decompositions = {name: dec for name, dec in
+                               (decompositions or {}).items() if dec is not None}
+        for name, dec in self.decompositions.items():
             if name not in self.mults:
                 raise SchemaError(f"decomposition for unknown component {name!r}")
             _check_decomposition(name, self.mults[name], dec)
@@ -387,8 +383,7 @@ class FiberedConfig:
             raise SchemaError("multiplicity table must cover exactly the components")
         for name, mult in self.mults.items():
             _check_mult(name, mult)
-        if frozenset(selection.universe) != frozenset(self.names):
-            raise UniverseMismatch("selection universe differs from the components")
+        selection.check_universe(self.names)
         self.selection = selection
         self.base_strata = {str(k): as_fraction(v) for k, v in base_strata.items()}
         nameset = frozenset(self.names)
@@ -484,8 +479,7 @@ def blowup_transport(config: NCConfig, selection: StratumSelection,
     """
     ring = config.ring
     _check_step(step, config.names, ring.dim)
-    if frozenset(selection.universe) != frozenset(config.names):
-        raise UniverseMismatch("selection universe differs from the configuration")
+    selection.check_universe(config.names)
     upstairs, blowdown, exceptional = ring_blowup_point(ring)
     new_components = []
     mult0 = rf(ring.dim - 1)
@@ -515,8 +509,7 @@ def blowup_transport_degree(config: DegreeConfig, selection: StratumSelection,
             "Euler-table transport is defined for surfaces (dim 2)"
         )
     _check_step(step, config.names, 2)
-    if frozenset(selection.universe) != frozenset(config.names):
-        raise UniverseMismatch("selection universe differs from the configuration")
+    selection.check_universe(config.names)
     new = step.new_name
     mult0 = rf(1)
     for name in step.contains:

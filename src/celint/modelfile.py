@@ -3,23 +3,35 @@
 A model file holds at most one ring (catalog or literal), divisor
 components with multiplicities, a stratum selection, Euler
 characteristic tables, fibered data and named push-forward chains.
+
+Every field is read through one of the typed readers below: object,
+list, name, whole number, exact rational and expression. A field of
+the wrong type or range raises an exit-2 error whose message names the
+field's JSON path, such as `components[2].mult.a`. Faults inside a
+literal ring presentation are PresentationErrors, all others are
+SchemaErrors.
 """
 
 from __future__ import annotations
+
+import json
+import re
+from collections import namedtuple
+from fractions import Fraction
+from itertools import chain
 
 from .chow import (
     ChowRing,
     PushForwardMap,
     parse_class,
     ring_blowup_point,
-    ring_literal,
     ring_point,
     ring_product,
     ring_projective,
 )
-from .errors import SchemaError
-from .exactnum import RF_M, as_fraction, rf
-from .exprparse import parse_rf
+from .errors import CelintError, ParseError, PresentationError, SchemaError
+from .exactnum import RF_M, rf
+from .exprparse import parse_expression, parse_rf
 from .model import (
     Component,
     DegreeConfig,
@@ -36,12 +48,106 @@ from .model import (
 MAX_BLOWUPS = 32
 MAX_BASIS = 64
 
+_REQUIRED = object()
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
-def _check_basis_size(size: int, field: str):
+
+def _at(path: str, key) -> str:
+    """The JSON path of a member of the field at path: `path.key` for an
+    identifier, `path[3]` for a list index, `path["E1,E3"]` otherwise."""
+    if isinstance(key, str) and key.isidentifier():
+        return f"{path}.{key}" if path else key
+    return f"{path}[{json.dumps(key)}]"
+
+
+def _fault(value, path: str, kind: str, error=SchemaError, what=None):
+    """Raise error: the field at path, or `what` in it, is not of kind."""
+    shown = json.dumps(value, default=repr, skipkeys=True)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    if what is not None:
+        raise error(f"{what} must be {kind}, got {shown} in field {path}")
+    subject = f"field {path}" if path else "the top-level value"
+    raise error(f"{subject} must be {kind}, got {shown}")
+
+
+def read_object(value, path: str, default=_REQUIRED, error=SchemaError) -> dict:
+    """A JSON object; null reads as the default, when one is given."""
+    if value is None and default is not _REQUIRED:
+        return default
+    if not isinstance(value, dict):
+        _fault(value, path, "an object", error)
+    return value
+
+
+def read_list(value, path: str, error=SchemaError) -> list:
+    if not isinstance(value, list):
+        _fault(value, path, "a list", error)
+    return value
+
+
+def read_names(value, path: str, error=SchemaError, what=None) -> list:
+    """A list of names; with `what`, a bad name's message starts `{what} {name!r}`."""
+    return [read_name(x, _at(path, i), error=error,
+                      what=None if what is None else f"{what} {x!r}")
+            for i, x in enumerate(read_list(value, path, error))]
+
+
+def read_name(value, path: str, default=_REQUIRED, error=SchemaError,
+              what=None) -> str:
+    """A nonempty string; null reads as the default, when one is given."""
+    if value is None and default is not _REQUIRED:
+        return default
+    if not isinstance(value, str) or not value:
+        kind = "a nonempty string" if isinstance(value, str) else "a string"
+        _fault(value, path, kind, error, what)
+    return value
+
+
+def _whole(value):
+    """value as an int when it is a JSON integer or a float with no
+    fractional part, else None; booleans are not numbers here."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    return value if type(value) is int else None
+
+
+def read_whole(value, path: str, lo=None, error=SchemaError, what=None) -> int:
+    """A whole number, at least lo when lo is given."""
+    n = _whole(value)
+    if n is None or (lo is not None and n < lo):
+        bounds = "" if lo is None else f" >= {lo}"
+        _fault(value, path, f"a whole number (an integer{bounds})", error, what)
+    return n
+
+
+def read_rational(value, path: str, error=SchemaError, what=None) -> Fraction:
+    """An exact rational: a whole number, or a string "p/q" or "n"."""
+    n = _whole(value)
+    if n is not None:
+        return Fraction(n)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # q = 0, or too many digits
+            pass
+    _fault(value, path, 'rational (an integer or a "p/q" string)', error, what)
+
+
+def read_expression(value, path: str, error=SchemaError) -> str:
+    """Expression text: a string, or a JSON integer written as its digits."""
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        _fault(value, path, "an expression (a string or an integer)", error)
+    return value
+
+
+def _check_basis_size(size: int, path: str):
     """Reject a ring of more than MAX_BASIS basis elements before it is built."""
     if size > MAX_BASIS:
         raise SchemaError(
-            f"ring field {field} asks for {size} basis elements; "
+            f"field {path} asks for {size} basis elements; "
             f"at most {MAX_BASIS} are allowed"
         )
 
@@ -53,282 +159,344 @@ def _key_to_index(key: str) -> frozenset:
     return frozenset(part.strip() for part in key.split(","))
 
 
-def load_mult(value):
-    """Multiplicity from JSON: a number, an a/k pair, or an expression string.
+def load_mult(value, path: str = ""):
+    """Multiplicity from JSON: an expression, or an {"a", "k"} pair
+    meaning a*m + k.
 
     Returns (mult, decomposition); only the pair form records a
-    decomposition mult = a*m + k.
+    decomposition (a, k).
     """
-    if isinstance(value, bool):
-        raise SchemaError("multiplicity cannot be a boolean")
-    if isinstance(value, (int, float, str)) and not isinstance(value, str):
-        try:
-            return rf(as_fraction(value)), None
-        except (TypeError, ValueError):
-            raise SchemaError(f"invalid multiplicity {value!r}")
-    if isinstance(value, str):
-        try:
-            return parse_rf(value), None
-        except Exception as exc:
-            raise SchemaError(f"invalid multiplicity expression {value!r}: {exc}")
-    if isinstance(value, dict) and set(value) == {"a", "k"}:
-        try:
-            a = as_fraction(value["a"])
-            k = as_fraction(value["k"])
-        except (TypeError, ValueError):
-            raise SchemaError(f"invalid multiplicity pair {value!r}")
+    if isinstance(value, dict):
+        if set(value) != {"a", "k"}:
+            _fault(value, path, 'an expression or an object of "a" and "k"')
+        a = read_rational(value["a"], _at(path, "a"))
+        k = read_rational(value["k"], _at(path, "k"))
         return rf(a) * RF_M + rf(k), (a, k)
-    raise SchemaError(f"invalid multiplicity {value!r}")
-
-
-def _blowup_count(value, allowed: int) -> int:
-    """The count field of a blow-up ring: a whole number from 1 to allowed."""
+    text = read_expression(value, path)
     try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None or (count != value and not isinstance(value, str)):
-        raise SchemaError(f"blow-up field count must be a whole number, got {value!r}")
-    if not 1 <= count <= allowed:
-        raise SchemaError(
-            f"blow-up field count must be from 1 to {allowed} "
-            f"({MAX_BLOWUPS} blow-ups in all), got {count}"
-        )
-    return count
+        return parse_rf(text), None
+    except CelintError as exc:
+        raise SchemaError(f"field {path} holds an invalid multiplicity: {exc}")
 
 
-def load_ring(obj):
+def load_ring(obj, path: str = "", allowed: int = MAX_BLOWUPS):
     """Build a catalog or literal ring; returns (ring, construction maps).
 
     Construction maps are the blow-down maps of an iterated blow-up,
     listed from the final ring toward the base, so pushing a class
-    through them in order lands it on the base.
+    through them in order lands it on the base. At most `allowed` point
+    blow-ups are made in all, counted before the base is loaded, so
+    nesting depth is bounded too.
     """
-    return _load_ring(obj, MAX_BLOWUPS)
-
-
-def _load_ring(obj, allowed: int):
-    """load_ring with at most `allowed` point blow-ups in all, counted
-    before the base is loaded, so nesting depth is bounded too."""
-    if not isinstance(obj, dict):
-        raise SchemaError("ring description must be an object")
+    obj = read_object(obj, path)
     catalog = obj.get("catalog")
     if catalog == "point":
         return ring_point(), []
     if catalog == "projective":
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise SchemaError("projective ring needs an integer field n")
-        _check_basis_size(n + 1, "n")
+        n = read_whole(obj.get("n"), _at(path, "n"))
+        _check_basis_size(n + 1, _at(path, "n"))
         return ring_projective(n), []
     if catalog == "product":
-        factors = obj.get("factors")
-        if (not isinstance(factors, list)) or len(factors) != 2:
-            raise SchemaError("product ring needs a two-element factors list")
-        try:
-            dims = [int(x) for x in factors]
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError("product factors must be integers")
+        at = _at(path, "factors")
+        factors = read_list(obj.get("factors"), at)
+        if len(factors) != 2:
+            _fault(factors, at, "a list of two dimensions")
+        dims = [read_whole(x, _at(at, i)) for i, x in enumerate(factors)]
         a, b = (max(d, 0) + 1 for d in dims)
-        _check_basis_size(a * b, "factors")
+        _check_basis_size(a * b, at)
         return ring_product(ring_projective(dims[0]), ring_projective(dims[1])), []
     if catalog == "blowup_point":
-        base_obj = obj.get("base")
-        if base_obj is None:
-            raise SchemaError("blow-up ring needs a base ring")
-        count = _blowup_count(obj.get("count", 1), allowed)
-        base, maps = _load_ring(base_obj, allowed - count)
-        _check_basis_size(
-            len(base.all_names) + count * max(base.dim - 1, 0), "count"
-        )
+        at = _at(path, "count")
+        count = read_whole(obj.get("count", 1), at, 1)
+        if count > allowed:
+            raise SchemaError(
+                f"field {at} asks for {count} blow-ups, but only {allowed} "
+                f"of the {MAX_BLOWUPS} allowed in all remain"
+            )
+        base, maps = load_ring(obj.get("base"), _at(path, "base"), allowed - count)
+        _check_basis_size(len(base.all_names) + count * max(base.dim - 1, 0), at)
         ring = base
         for _ in range(count):
             ring, blowdown, _ = ring_blowup_point(ring)
             maps = [blowdown] + maps
         return ring, maps
     if catalog == "literal":
-        presentation = obj.get("presentation")
-        if presentation is None:
-            raise SchemaError("literal ring needs a presentation object")
-        basis = presentation.get("basis") if isinstance(presentation, dict) else None
-        if isinstance(basis, list):
-            _check_basis_size(
-                sum(len(level) for level in basis if isinstance(level, list)),
-                "presentation.basis",
+        at = _at(path, "presentation")
+        spec = read_object(obj.get("presentation"), at)
+        _check_basis_size(sum(map(len, _read_basis(spec, at))), _at(at, "basis"))
+        return ring_literal(spec, at), []
+    _fault(catalog, _at(path, "catalog"),
+           "one of point, projective, product, blowup_point and literal")
+
+
+class _LinCombAlgebra:
+    """Expression values for literal ring data: constant + linear basis part."""
+
+    @staticmethod
+    def const(c: Fraction):
+        return (c, {})
+
+    @staticmethod
+    def name(name: str):
+        return (Fraction(0), {name: Fraction(1)})
+
+    @staticmethod
+    def add(a, b):
+        ca, va = a
+        cb, vb = b
+        out = dict(va)
+        for k, v in vb.items():
+            out[k] = out.get(k, Fraction(0)) + v
+        return (ca + cb, {k: v for k, v in out.items() if v != 0})
+
+    @staticmethod
+    def sub(a, b):
+        return _LinCombAlgebra.add(a, _LinCombAlgebra.neg(b))
+
+    @staticmethod
+    def neg(a):
+        c, v = a
+        return (-c, {k: -x for k, x in v.items()})
+
+    @staticmethod
+    def mul(a, b):
+        ca, va = a
+        cb, vb = b
+        if va and vb:
+            raise ParseError(
+                "literal ring data must be linear in the basis names"
             )
-        return ring_literal(presentation), []
-    raise SchemaError(f"unknown ring catalog {catalog!r}")
+        if va:
+            return (ca * cb, {k: v * cb for k, v in va.items() if v * cb != 0})
+        return (ca * cb, {k: v * ca for k, v in vb.items() if v * ca != 0})
+
+    @staticmethod
+    def div(a, b):
+        cb, vb = b
+        if vb or cb == 0:
+            raise ParseError("literal ring data may divide by nonzero constants only")
+        ca, va = a
+        return (ca / cb, {k: v / cb for k, v in va.items()})
+
+    @staticmethod
+    def pow(a, k: int):
+        c, v = a
+        if v:
+            if k == 1:
+                return a
+            raise ParseError("literal ring data cannot raise basis names to powers")
+        if k < 0 and c == 0:
+            raise ParseError("zero to a negative power in literal ring data")
+        return (c**k, {})
 
 
-def load_selection(obj, names) -> StratumSelection:
+def _parse_lincomb(text: str, fundamental: str) -> dict:
+    c, vec = parse_expression(text, _LinCombAlgebra)
+    out = dict(vec)
+    if c != 0:
+        out[fundamental] = out.get(fundamental, Fraction(0)) + c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _read_basis(spec: dict, path: str) -> list:
+    """The basis of a literal presentation: name lists by codimension."""
+    at = _at(path, "basis")
+    return [read_names(level, _at(at, i), PresentationError, "literal basis name")
+            for i, level in enumerate(read_list(spec.get("basis"), at,
+                                                PresentationError))]
+
+
+def ring_literal(spec, path: str = "") -> ChowRing:
+    """Build a ring from the literal presentation at path, validating
+    every axiom; `celint.catalog.ring_literal` is this with path "".
+
+    The basis-size bound of model files is checked by load_ring, not
+    here, so rings built in code may be larger.
+    """
+    spec = read_object(spec, path, error=PresentationError)
+    dim = read_whole(spec.get("dim"), _at(path, "dim"), 0,
+                     error=PresentationError, what="literal ring dim")
+    basis = _read_basis(spec, path)
+    if len(basis) != dim + 1 or len(basis[0]) != 1:
+        raise PresentationError(
+            "literal basis must have dim+1 graded pieces with a single codimension-0 element"
+        )
+    fundamental = basis[0][0]
+    index = {name: i for i, name in enumerate(chain.from_iterable(basis))}
+    products = {}
+    at = _at(path, "products")
+    table_obj = read_object(spec.get("products"), at, {}, PresentationError)
+    for key, value in table_obj.items():
+        parts = [p.strip() for p in key.split(",")]
+        if len(parts) != 2:
+            raise PresentationError(f"product key {key!r} must name two elements")
+        a, b = parts
+        for x in (a, b):
+            if x not in index:
+                raise PresentationError(f"product key {key!r} names unknown element {x!r}")
+        text = read_expression(value, _at(at, key), PresentationError)
+        table = _parse_lincomb(text, fundamental)
+        if fundamental in (a, b):
+            other = b if a == fundamental else a
+            if table != {other: Fraction(1)}:
+                raise PresentationError(f"product {key!r} breaks the unit law")
+            continue
+        if index[a] > index[b]:
+            a, b = b, a
+        if (a, b) in products and products[(a, b)] != table:
+            raise PresentationError(
+                f"products {a},{b} and {b},{a} disagree: commutativity fails"
+            )
+        products[(a, b)] = table
+    at = _at(path, "degree")
+    degree = {
+        name: read_rational(value, _at(at, name), PresentationError,
+                            what=f"degree of {name!r}")
+        for name, value in read_object(spec.get("degree"), at, {},
+                                       PresentationError).items()
+    }
+    chern = spec.get("chern")
+    if chern is not None:
+        chern = _parse_lincomb(
+            read_expression(chern, _at(path, "chern"), PresentationError),
+            fundamental,
+        )
+    return ChowRing(
+        dim=dim,
+        basis=basis,
+        products=products,
+        degree_values=degree,
+        tangent_chern_coeffs=chern,
+        point=read_name(spec.get("point"), _at(path, "point"), None,
+                        PresentationError),
+        kind=("literal",),
+    )
+
+
+def load_selection(obj, names, path: str = "") -> StratumSelection:
     if obj is None:
         return StratumSelection.whole(names)
-    if not isinstance(obj, dict):
-        raise SchemaError("selection must be an object")
+    obj = read_object(obj, path)
     keys = set(obj)
-    if keys == {"whole"}:
-        if obj["whole"] is not True:
-            raise SchemaError("selection field whole must be true")
-        return StratumSelection.whole(names)
-    if keys == {"empty"}:
-        if obj["empty"] is not True:
-            raise SchemaError("selection field empty must be true")
-        return StratumSelection.empty(names)
+    if keys in ({"whole"}, {"empty"}):
+        form = keys.pop()
+        if obj[form] is not True:
+            _fault(obj[form], _at(path, form), "true")
+        return getattr(StratumSelection, form)(names)
     if keys == {"closed"}:
-        closed = obj["closed"]
-        if not isinstance(closed, list):
-            raise SchemaError("selection field closed must be a list of names")
+        closed = read_names(obj["closed"], _at(path, "closed"))
         return StratumSelection.from_closed(names, closed)
     if keys == {"strata"}:
-        strata = obj["strata"]
-        if not isinstance(strata, list) or not all(isinstance(s, list) for s in strata):
-            raise SchemaError("selection field strata must be a list of name lists")
-        return StratumSelection.from_strata(names, [frozenset(s) for s in strata])
-    raise SchemaError(f"unknown selection form {sorted(keys)}")
+        at = _at(path, "strata")
+        return StratumSelection.from_strata(names, [
+            frozenset(read_names(stratum, _at(at, i)))
+            for i, stratum in enumerate(read_list(obj["strata"], at))
+        ])
+    _fault(obj, path, "an object with exactly one of whole, empty, closed and strata")
 
 
-def load_component(obj, ring) -> Component:
-    if not isinstance(obj, dict) or "name" not in obj or "mult" not in obj:
-        raise SchemaError("component needs name and mult fields")
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
-        raise SchemaError("component name must be a nonempty string")
-    mult, decomposition = load_mult(obj["mult"])
+def load_component(obj, ring, path: str = "") -> Component:
+    obj = read_object(obj, path)
+    name = read_name(obj.get("name"), _at(path, "name"))
+    mult, decomposition = load_mult(obj.get("mult"), _at(path, "mult"))
     divisor = None
-    if "class" in obj and obj["class"] is not None:
+    if obj.get("class") is not None:
         if ring is None:
             raise SchemaError(
                 f"component {name!r} has a class but the model has no ring"
             )
-        divisor = parse_class(str(obj["class"]), ring)
+        divisor = parse_class(read_expression(obj["class"], _at(path, "class")), ring)
     elif ring is not None:
         raise SchemaError(f"component {name!r} is missing its class")
     return Component(name, mult, divisor, decomposition)
 
 
-def load_chain(obj, source: ChowRing, construction):
+def _read_images(obj, path: str, ring: ChowRing) -> dict:
+    """A forward or pullback table: basis names to class expressions."""
+    return {
+        name: parse_class(read_expression(text, _at(path, name)), ring)
+        for name, text in read_object(obj, path, {}).items()
+    }
+
+
+def load_chain(obj, source: ChowRing, construction, path: str = ""):
     """A chain is "construction" or one literal map or a list of either."""
     if obj == "construction":
         if construction is None:
             raise SchemaError("this model's ring has no construction chain")
         return list(construction)
-    if isinstance(obj, dict):
-        obj = [obj]
-    if not isinstance(obj, list):
-        raise SchemaError("chain must be \"construction\", a map object, or a list")
+    entries = [obj] if isinstance(obj, dict) else read_list(obj, path)
     maps = []
     current = source
-    for entry in obj:
-        if entry == "construction":
-            raise SchemaError("\"construction\" cannot be mixed into a literal chain")
-        if not isinstance(entry, dict):
-            raise SchemaError("chain entries must be map objects")
-        target_obj = entry.get("target")
-        if target_obj is None:
-            raise SchemaError("chain map needs a target ring")
-        target, _ = load_ring(target_obj)
-        forward_obj = entry.get("forward") or {}
-        pullback_obj = entry.get("pullback") or {}
-        forward = {
-            name: parse_class(str(text), target)
-            for name, text in forward_obj.items()
-        }
-        pullback = {
-            name: parse_class(str(text), current)
-            for name, text in pullback_obj.items()
-        }
-        maps.append(PushForwardMap(current, target, forward, pullback,
-                                   label=entry.get("label", "")))
+    for i, entry in enumerate(entries):
+        at = path if isinstance(obj, dict) else _at(path, i)
+        entry = read_object(entry, at)
+        target, _ = load_ring(entry.get("target"), _at(at, "target"))
+        forward = _read_images(entry.get("forward"), _at(at, "forward"), target)
+        pullback = _read_images(entry.get("pullback"), _at(at, "pullback"), current)
+        label = read_name(entry.get("label"), _at(at, "label"), "")
+        maps.append(PushForwardMap(current, target, forward, pullback, label=label))
         current = target
     return maps
 
 
-class LoadedModel:
+class LoadedModel(namedtuple("LoadedModel", "ring construction components config "
+                             "selection degree_data fibered chains raw")):
     """Everything a model file can carry, already validated."""
 
-    __slots__ = (
-        "ring", "construction", "components", "config", "selection",
-        "degree_data", "fibered", "chains", "raw",
-    )
+    __slots__ = ()
 
-    def __init__(self, ring, construction, components, config, selection,
-                 degree_data, fibered, chains, raw):
-        self.ring = ring
-        self.construction = construction
-        self.components = components
-        self.config = config
-        self.selection = selection
-        self.degree_data = degree_data
-        self.fibered = fibered
-        self.chains = chains
-        self.raw = raw
+
+def _read_table(obj, path: str) -> dict:
+    """An object of exact rationals, such as an Euler characteristic table."""
+    return {key: read_rational(value, _at(path, key))
+            for key, value in read_object(obj, path).items()}
 
 
 def load_model(obj) -> LoadedModel:
     """Validate a parsed model file and build every structure it describes."""
-    if not isinstance(obj, dict):
-        raise SchemaError("model file must hold a JSON object")
+    obj = read_object(obj, "")
     ring = None
     construction = None
     if obj.get("ring") is not None:
-        ring, construction = load_ring(obj["ring"])
-    components_obj = obj.get("components", [])
-    if not isinstance(components_obj, list):
-        raise SchemaError("components must be a list")
-    components = tuple(load_component(c, ring) for c in components_obj)
+        ring, construction = load_ring(obj["ring"], "ring")
+    components = tuple(
+        load_component(c, ring, _at("components", i))
+        for i, c in enumerate(read_list(obj.get("components", []), "components"))
+    )
     names = tuple(c.name for c in components)
-    if len(set(names)) != len(names):
-        raise SchemaError("duplicate component name in model")
-    config = None
+    config = None if ring is None else NCConfig(ring, components)
+    dim = obj.get("dim")
     if ring is not None:
-        config = NCConfig(ring, components)
-    selection = load_selection(obj.get("selection"), names)
+        dim = ring.dim
+    elif dim is not None:
+        dim = read_whole(dim, "dim", 0)
+    selection = load_selection(obj.get("selection"), names, "selection")
+    mults = {c.name: c.mult for c in components}
     degree_data = None
     if obj.get("chi_closed") is not None:
-        chi_obj = obj["chi_closed"]
-        if not isinstance(chi_obj, dict):
-            raise SchemaError("chi_closed must be an object")
-        table = {_key_to_index(k): v for k, v in chi_obj.items()}
-        dim = ring.dim if ring is not None else obj.get("dim")
-        decomps = {
-            c.name: c.decomposition for c in components
-            if c.decomposition is not None
-        }
+        table = _read_table(obj["chi_closed"], "chi_closed")
         degree_data = DegreeConfig(
             names,
-            {c.name: c.mult for c in components},
-            table,
+            mults,
+            {_key_to_index(k): v for k, v in table.items()},
             dim=dim,
-            decompositions=decomps,
+            decompositions={c.name: c.decomposition for c in components},
         )
     fibered = None
     if obj.get("base_strata") is not None or obj.get("fiber") is not None:
-        base_obj = obj.get("base_strata")
-        fiber_obj = obj.get("fiber")
-        if not isinstance(base_obj, dict) or not isinstance(fiber_obj, dict):
-            raise SchemaError("fibered data needs base_strata and fiber objects")
+        base = _read_table(obj.get("base_strata"), "base_strata")
         fiber = {}
-        for label, row in fiber_obj.items():
-            if not isinstance(row, dict):
-                raise SchemaError(f"fiber row for {label!r} must be an object")
-            for key, value in row.items():
+        for label, row in read_object(obj.get("fiber"), "fiber").items():
+            for key, value in _read_table(row, _at("fiber", label)).items():
                 fiber[(label, _key_to_index(key))] = value
-        fibered = FiberedConfig(
-            names,
-            {c.name: c.mult for c in components},
-            selection,
-            base_obj,
-            fiber,
-        )
+        fibered = FiberedConfig(names, mults, selection, base, fiber)
     chains = {}
-    chains_obj = obj.get("chains") or {}
-    if not isinstance(chains_obj, dict):
-        raise SchemaError("chains must be an object of named chains")
-    for label, chain_obj in chains_obj.items():
+    for label, chain_obj in read_object(obj.get("chains"), "chains", {}).items():
         if ring is None:
             raise SchemaError("chains require a ring")
-        chains[label] = load_chain(chain_obj, ring, construction)
+        chains[label] = load_chain(chain_obj, ring, construction,
+                                   _at("chains", label))
     return LoadedModel(
         ring, construction, components, config, selection,
         degree_data, fibered, chains, obj,

@@ -9,7 +9,7 @@ from celint.model import load_model
 from celint.celestial import integrate_class
 from celint.verify import CheckReport
 
-from conftest import FIXTURES, read_fixture
+from conftest import FIXTURES, mutate, read_fixture
 
 
 def run_cli(capsys, *argv):
@@ -355,6 +355,10 @@ LITERAL_P1 = {"dim": 1, "basis": [["[W]"], ["P"]], "degree": {"P": 1},
     ({"degree": {"P": "1/0"}}, "degree of 'P' must be rational"),
     ({"dim": float("inf")}, "literal ring dim must be a whole number"),
     ({"basis": [["[W]"], [3]]}, "literal basis name 3 must be a string"),
+    ({"dim": 2.5}, "literal ring dim must be a whole number"),
+    ({"dim": "1"}, "literal ring dim must be a whole number"),
+    ({"dim": True}, "literal ring dim must be a whole number"),
+    ({"degree": {"P": 0.1}}, "degree of 'P' must be rational"),
 ])
 def test_malformed_literal_ring_is_a_presentation_error(tmp_path, capsys,
                                                         change, message):
@@ -375,3 +379,55 @@ def test_literal_ring_of_the_malformed_cases_is_valid(tmp_path, capsys):
     code, out, err = run_cli(capsys, "ring", model)
     assert (code, err) == (0, "")
     assert out.startswith("dimension 1\n")
+
+
+@pytest.mark.parametrize("name, path, value, verb, error, field", [
+    ("ix_cone.json", ("base_strata", "v"), "one", "ix",
+     "SchemaError", "field base_strata.v "),
+    ("ix_cone.json", ("fiber", "v", "E"), [1], "ix",
+     "SchemaError", "field fiber.v.E "),
+    ("ix_cone.json", ("dim",), "2", "ix", "SchemaError", "field dim "),
+    ("cusp.json", ("selection",), {"closed": [{"name": "D"}]}, "integrate",
+     "SchemaError", "field selection.closed[0] "),
+    ("cusp.json", ("selection",), {"strata": [[["D"]]]}, "integrate",
+     "SchemaError", "field selection.strata[0][0] "),
+    ("cusp.json", ("chi_closed", ""), "six", "degree",
+     "SchemaError", 'field chi_closed[""] '),
+    ("cusp.json", ("chains", "toP2"),
+     [{"target": {"catalog": "projective", "n": 2}, "forward": "h"}],
+     "integrate", "SchemaError", "field chains.toP2[0].forward "),
+    ("cusp.json", ("ring",), {"catalog": "literal", "presentation": {
+        **LITERAL_P1, "degree": "P"}}, "ring",
+     "PresentationError", "field ring.presentation.degree "),
+    ("cusp.json", ("components", 0, "class"), ["h"], "integrate",
+     "SchemaError", "field components[0].class "),
+], ids=["base-strata-string", "fiber-list", "ringless-dim-string",
+        "closed-object", "strata-nested", "chi-string", "forward-string",
+        "literal-degree-string", "class-list"])
+def test_wrong_typed_field_is_named_in_an_exit_two_error(
+        tmp_path, capsys, name, path, value, verb, error, field):
+    model = tmp_path / name
+    model.write_text(json.dumps(mutate(read_fixture(name), path, value)))
+    code, out, err = run_cli(capsys, verb, model)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}: {field}must be ")
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_fewer_than_one_instance(capsys, count):
+    code, out, err = run_cli(capsys, "verify", "all", "--instances", count)
+    assert (code, out) == (2, "")
+    assert err == f"error: SchemaError: --instances must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("data", [
+    b"[" + b"9" * 5000 + b"]",
+    b'{"components": "\xff"}',
+], ids=["integer-too-long", "not-utf8"])
+def test_unreadable_json_is_a_schema_error(tmp_path, capsys, data):
+    model = tmp_path / "unreadable.json"
+    model.write_bytes(data)
+    code, out, err = run_cli(capsys, "ring", model)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: SchemaError: ")
+    assert "unreadable.json is not valid JSON" in err

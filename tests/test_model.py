@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -603,3 +604,58 @@ def test_regime_warning_points_at_the_caller():
         with pytest.warns(RegimeWarning) as caught:
             call()
         assert [w.filename for w in caught] == [__file__]
+
+
+def test_numeric_fields_accept_every_documented_form():
+    # rationals: JSON integers, integral floats and "p/q" or "n" strings
+    _, dec = load_mult({"a": "1/2", "k": 2.0}, "mult")
+    assert dec == (Fraction(1, 2), Fraction(2))
+    model = load_model({
+        "components": [{"name": "D", "mult": 0}, {"name": "E", "mult": "m"}],
+        "chi_closed": {"": "-3/2", "D": 1.0, "E": " 4 ", "D,E": 1e3},
+        "dim": 2.0,
+    })
+    assert model.degree_data.chi_closed == {
+        frozenset(): Fraction(-3, 2), frozenset({"D"}): 1,
+        frozenset({"E"}): 4, frozenset({"D", "E"}): 1000,
+    }
+    assert model.degree_data.dim == 2 and type(model.degree_data.dim) is int
+
+
+@pytest.mark.parametrize("value", [
+    True, False, None, 2.5, float("inf"), "x", "", "1/0", "0.5", "1e3",
+    [1], {"p": 1},
+])
+def test_rational_fields_reject_wrong_types(value):
+    with pytest.raises(SchemaError, match=r"^field mult\.a must be rational"):
+        load_mult({"a": value, "k": 0}, "mult")
+
+
+@pytest.mark.parametrize("value", [True, 2.5, [], {}, None])
+def test_expression_fields_reject_wrong_types(value):
+    with pytest.raises(SchemaError, match=r"^field components\[0\]\.mult "
+                                          r"must be an expression"):
+        load_model({"components": [{"name": "D", "mult": value}]})
+
+
+def test_field_paths_follow_the_json_tree():
+    cases = [
+        ({"ring": {"catalog": "projective", "n": "2"}}, "ring.n"),
+        ({"ring": {"catalog": "blowup_point", "count": 1,
+                   "base": {"catalog": "product", "factors": [1, "2"]}}},
+         "ring.base.factors[1]"),
+        ({"ring": {"catalog": "projective", "n": 2}, "chains": {
+            "down": [{"target": {"catalog": "projective", "n": 2},
+                      "pullback": {"[V]": "[V]", "h^2": {}}}]}},
+         'chains.down[0].pullback["h^2"]'),
+        ({"components": [{"name": "D", "mult": 1}],
+          "base_strata": {"b": 1}, "fiber": {"b": {"D": "x"}}},
+         "fiber.b.D"),
+        ({"components": [{"name": ["D"], "mult": 1}]}, "components[0].name"),
+        ({"ring": {"catalog": "chow"}}, "ring.catalog"),
+        ([], None),
+    ]
+    for obj, path in cases:
+        subject = "the top-level value" if path is None else f"field {path}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(subject)} must be "):
+            load_model(obj)
