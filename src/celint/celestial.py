@@ -27,7 +27,6 @@ from .exactnum import (
     PoleReport,
     RationalFunction,
     as_fraction,
-    rational_poles,
     rf,
 )
 from .model import (
@@ -35,7 +34,6 @@ from .model import (
     FiberedConfig,
     NCConfig,
     StratumSelection,
-    _all_subsets,
     stratum_sum,
 )
 
@@ -192,20 +190,31 @@ def integrate_class(config: NCConfig, selection: StratumSelection = None) -> Cho
 
 def integrate_degree(config: DegreeConfig,
                      selection: StratumSelection = None) -> RationalFunction:
-    """Degree of the integral from Euler characteristics of open strata.
+    """Degree of the integral from the Euler characteristics of strata.
 
-    An open stratum has nonzero Euler characteristic only below some key
-    of the closed-strata table, so only those index sets are visited.
+    Over the whole space, the sum over open strata E_I of
+    chi(E_I) * prod_{i in I} 1/(1+m_i) is the sum over the keys J of the
+    closed-strata table of chi_J * prod_{j in J} x_j, with
+    x_j = 1/(1+m_j) - 1. Over closed(L), a key J contributes
+    chi_J * (prod_J x - (-1)^|J & L| * prod_{J - L} x), which is zero when
+    J misses L. An explicit selection sums its own strata, each weighted
+    by the Euler characteristic of its open stratum.
     """
     config.warn_if_outside()
     selection = _selection_for(config, selection)
-    below = set()
-    for key in config.chi_closed:
-        below |= _all_subsets(key)
-    return stratum_sum(
-        selection, config.mults,
-        ((index, config.chi_of_open(index)) for index in below),
-    )
+    if selection.kind == "explicit":
+        return stratum_sum(
+            ((index, config.chi_of_open(index)) for index in selection.strata),
+            config.mults,
+        )
+    if selection.kind == "whole":
+        return stratum_sum(config.chi_closed.items(), config.mults, less_one=True)
+    terms = []
+    for key, chi in config.chi_closed.items():
+        inside = key & selection.core
+        if inside:
+            terms += [(key, chi), (key - inside, chi if len(inside) % 2 else -chi)]
+    return stratum_sum(terms, config.mults, less_one=True)
 
 
 def alternate_form2(config: NCConfig) -> ChowClass:
@@ -259,10 +268,18 @@ def zeta_class(config: NCConfig, selection: StratumSelection = None) -> ChowClas
 
 
 def zeta_degree(config: DegreeConfig, selection: StratumSelection = None):
-    """Degree-level zeta function with its rational pole report."""
+    """Degree-level zeta function with its rational pole report.
+
+    The value's denominator divides the product of the factors
+    1 + m_j = a_j*m + k_j + 1, so its poles lie among the -(1 + k_j)/a_j
+    with a_j nonzero; the report keeps those where the denominator
+    vanishes. That equals rational_poles(value), without its search
+    over the divisors of the denominator's coefficients.
+    """
     _require_decompositions(config.names, config.decompositions)
     value = integrate_degree(config, selection)
-    return value, rational_poles(value)
+    candidates = {Fraction(-1 - k) / a for a, k in config.decompositions.values() if a}
+    return value, PoleReport(r for r in candidates if value.den.evaluate(r) == 0)
 
 
 def zeta(config, selection: StratumSelection = None):

@@ -16,6 +16,7 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 
 from .chow import ChowClass, ChowRing, ring_blowup_point
 from .errors import (
@@ -27,7 +28,14 @@ from .errors import (
     UndefinedMultiplicity,
     UniverseMismatch,
 )
-from .exactnum import RF_M, RationalFunction, as_fraction, rf
+from .exactnum import (
+    RF_M,
+    RationalFunction,
+    as_fraction,
+    int_poly_add,
+    int_poly_mul,
+    rf,
+)
 
 
 class Component(namedtuple(
@@ -285,19 +293,28 @@ def _classify(count: int, strata: frozenset):
     return "explicit", frozenset()
 
 
-def stratum_sum(selection: StratumSelection, mults: dict,
-                terms) -> RationalFunction:
-    """Sum of c * prod_{i in I} 1/(1+m_i) over the (I, c) in terms whose
-    index set I the selection holds; terms name each index set once."""
-    total = rf(0)
+def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
+    """Sum of c * prod_{i in I} x_i over the (I, c) in terms, with
+    x_i = 1/(1+m_i), or x_i = 1/(1+m_i) - 1 = -m_i/(1+m_i) when less_one.
+
+    With m_i = n_i/d_i in lowest terms, x_i is d_i/(d_i+n_i) (or
+    -n_i/(d_i+n_i)). The sum is built over the product of the d_i+n_i
+    of the names that occur, in integer polynomial arithmetic, and
+    reduced once at the end. An index set may occur more than once.
+    """
+    terms = [(frozenset(index), as_fraction(c)) for index, c in terms if c]
+    factors = []
+    for name in sorted(set().union(*(index for index, _ in terms))):
+        n, d = mults[name].integer_parts()
+        factors.append((name, [-c for c in n] if less_one else d, int_poly_add(d, n)))
+    scale = lcm(*(c.denominator for _, c in terms))
+    num = []
     for index, c in terms:
-        if c == 0 or index not in selection:
-            continue
-        weight = rf(c)
-        for name in index:
-            weight = weight / (rf(1) + mults[name])
-        total = total + weight
-    return total
+        term = [c.numerator * (scale // c.denominator)]
+        for name, p, q in factors:
+            term = int_poly_mul(term, p if name in index else q)
+        num = int_poly_add(num, term)
+    return RationalFunction.from_integers(num, [[scale]] + [q for _, _, q in factors])
 
 
 def chi_open(chi_closed: dict, index: frozenset) -> Fraction:
@@ -404,10 +421,12 @@ class FiberedConfig:
         selection unless another one (on the same universe) is given."""
         if label not in self.base_strata:
             raise SchemaError(f"unknown stratum {label!r}")
+        if selection is None:
+            selection = self.selection
         return stratum_sum(
-            self.selection if selection is None else selection,
+            ((index, c) for (lab, index), c in self.fiber.items()
+             if lab == label and index in selection),
             self.mults,
-            ((index, c) for (lab, index), c in self.fiber.items() if lab == label),
         )
 
     def values(self) -> dict:
@@ -415,10 +434,11 @@ class FiberedConfig:
 
     def total(self) -> RationalFunction:
         """Pairing against the base Euler characteristics."""
-        total = rf(0)
-        for label, chi in self.base_strata.items():
-            total = total + rf(chi) * self.value_at(label)
-        return total
+        return stratum_sum(
+            ((index, self.base_strata[label] * c)
+             for (label, index), c in self.fiber.items() if index in self.selection),
+            self.mults,
+        )
 
 
 class BlowupStep(namedtuple("BlowupStep", "contains new_name")):

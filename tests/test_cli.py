@@ -1,15 +1,17 @@
 import json
+import time
 
 import pytest
 
 from celint import cli, verify
 from celint.chow import parse_class
+from celint.exactnum import RF_M, rational_poles, rf
 from celint.exprparse import parse_rf
 from celint.model import load_model
 from celint.celestial import integrate_class
 from celint.verify import CheckReport
 
-from conftest import FIXTURES, mutate, read_fixture
+from conftest import FIXTURES, Overrun, mutate, read_fixture, time_limit
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +92,50 @@ def test_zeta_cusp(capsys):
         capsys, "zeta", fixture("cusp.json"), "--degree", "--eval", "m=1"
     )
     assert out == "21/11\n"
+
+
+def test_large_euler_table_key_is_not_expanded(tmp_path, capsys):
+    # one key of 16 names has 65,536 subsets; summing over them took
+    # minutes, while the sum over the table's keys takes milliseconds
+    names = [f"N{i}" for i in range(16)]
+    decomps = {n: (1 + i % 3, i % 4) for i, n in enumerate(names)}
+    table = {"": 5, ",".join(names): 1, "N0": 2, "N1,N2": -1, "N3,N7,N11": 3}
+    path = tmp_path / "key16.json"
+    path.write_text(json.dumps({
+        "components": [{"name": n, "mult": {"a": a, "k": k}}
+                       for n, (a, k) in decomps.items()],
+        "chi_closed": table,
+    }))
+    x = {n: rf(1) / (rf(1 + k) + rf(a) * RF_M) - rf(1)
+         for n, (a, k) in decomps.items()}
+
+    def product(key):
+        out = rf(1)
+        for name in key:
+            out = out * x[name]
+        return out
+
+    keys = {frozenset(k.split(",")) if k else frozenset(): chi
+            for k, chi in table.items()}
+    core = {"N0", "N5"}
+    whole = sum((rf(chi) * product(key) for key, chi in keys.items()), rf(0))
+    closed = sum((rf(chi) * (product(key) - rf((-1) ** len(key & core))
+                             * product(key - core))
+                  for key, chi in keys.items()), rf(0))
+    for argv, want in (
+        (["degree", path], whole.render() + "\n"),
+        (["zeta", path, "--degree"],
+         f"{whole.render()}\npoles: {rational_poles(whole).render()}\n"),
+        (["degree", path, "--selection", "closed:N0,N5"], closed.render() + "\n"),
+    ):
+        start = time.perf_counter()
+        try:
+            with time_limit(5):
+                code, out, err = run_cli(capsys, *argv)
+        except Overrun:
+            pytest.fail(f"{argv[0]} ran past 5 s")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (0, want, "")
 
 
 def test_csm_cusp(capsys):

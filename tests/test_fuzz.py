@@ -4,8 +4,10 @@ Each run replaces one field of one fixture (any value in its JSON tree,
 the whole file included) with a wrong-typed value from POOL, then runs
 one model verb on the result in-process through `cli.main`. Every run
 must return 0, 1, 2 or 3 with no exception escaping, and every nonzero
-exit must print `error: <CelintError subclass>:`. The pool varies types,
-not sizes: large integers are not what this fuzz explores.
+exit must print `error: <CelintError subclass>:`. POOL varies types; the
+size fuzz varies integer size: it sets each integer leaf of each fixture
+in turn to HUGE and runs every model verb (`zeta` as `zeta --degree`),
+each run within LIMIT_S seconds.
 
 The test suite runs RUNS mutations drawn from SEED. Running the file directly
 draws more, or replays one mutation:
@@ -13,9 +15,9 @@ draws more, or replays one mutation:
     python tests/test_fuzz.py RUNS SEED
     python tests/test_fuzz.py FIXTURE PATH VALUE VERB
 
-PATH is a JSON list of keys and list indices and VALUE is JSON. Each
-failing mutation is printed as one line of the second form, followed by
-what went wrong.
+PATH is a JSON list of keys and list indices, VALUE is JSON and VERB is
+a verb with its options, such as "zeta --degree". Each failing mutation
+is printed as one line of the second form, followed by what went wrong.
 """
 
 import contextlib
@@ -33,7 +35,13 @@ if __name__ == "__main__":
 
 from celint import cli, errors  # noqa: E402
 
-from conftest import FIXTURES, mutate, read_fixture  # noqa: E402
+from conftest import (  # noqa: E402
+    FIXTURES,
+    Overrun,
+    mutate,
+    read_fixture,
+    time_limit,
+)
 
 RUNS = 1000
 SEED = 7
@@ -41,6 +49,10 @@ SEED = 7
 POOL = ("", "x", "1/0", [], [1], {}, {"a": 1}, None, True, False,
         2.5, 1e308, 0, -1)
 VERBS = ("ring", "integrate", "degree", "zeta", "csm", "ix", "stringy")
+# an integer too large to factor by trial division
+HUGE = 10**18 + 8
+SIZE_VERBS = tuple("zeta --degree" if verb == "zeta" else verb for verb in VERBS)
+LIMIT_S = 5
 
 CELINT_ERRORS = frozenset(
     name for name, obj in vars(errors).items()
@@ -70,6 +82,20 @@ def mutations(runs: int, seed: int):
         yield name, rng.choice(paths[name]), rng.choice(POOL), rng.choice(VERBS)
 
 
+def size_mutations():
+    """(fixture, path, HUGE, verb) for every integer leaf of every
+    fixture and every verb of SIZE_VERBS."""
+    for name in sorted(p.name for p in FIXTURES.glob("*.json")):
+        tree = read_fixture(name)
+        for path in _paths(tree):
+            leaf = tree
+            for key in path:
+                leaf = leaf[key]
+            if type(leaf) is int:
+                for verb in SIZE_VERBS:
+                    yield name, path, HUGE, verb
+
+
 def write_mutation(fixture, path, value, workdir) -> str:
     """Write the mutated fixture into workdir; returns the file's path."""
     model = Path(workdir) / "model.json"
@@ -83,7 +109,7 @@ def run_mutation(fixture, path, value, verb, workdir):
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([verb, model])
+            code = cli.main(verb.split() + [model])
     except Exception as exc:
         return f"{type(exc).__name__} escaped: {exc}"
     if code not in (0, 1, 2, 3):
@@ -115,6 +141,22 @@ def test_mutated_model_files_fail_cleanly(tmp_path):
     assert not failures, f"{len(failures)} of {RUNS} runs:\n" + "\n".join(failures)
 
 
+def test_huge_integers_finish_in_time(tmp_path):
+    failures = []
+    runs = 0
+    for fixture, path, value, verb in size_mutations():
+        runs += 1
+        try:
+            with time_limit(LIMIT_S):
+                problem = run_mutation(fixture, path, value, verb, tmp_path)
+        except Overrun:
+            problem = f"ran past {LIMIT_S} s"
+        if problem is not None:
+            failures.append(f"{replay_line(fixture, path, value, verb)}  # {problem}")
+    assert runs >= 7 * len(list(FIXTURES.glob("*.json")))
+    assert not failures, f"{len(failures)} of {runs} runs:\n" + "\n".join(failures)
+
+
 def test_mutations_cover_every_verb_and_fixture():
     drawn = list(mutations(RUNS, SEED))
     assert {verb for *_, verb in drawn} == set(VERBS)
@@ -129,7 +171,7 @@ def main(argv) -> int:
         if len(argv) == 4:
             fixture, path, value, verb = argv
             # no capture: an escaping exception prints its traceback
-            return cli.main([verb, write_mutation(
+            return cli.main(verb.split() + [write_mutation(
                 fixture, json.loads(path), json.loads(value), workdir)])
         if len(argv) != 2:
             print("usage: python tests/test_fuzz.py RUNS SEED\n"
