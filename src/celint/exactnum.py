@@ -299,50 +299,6 @@ class RationalFunction:
     def variable(cls) -> "RationalFunction":
         return cls(M_POLY)
 
-    @classmethod
-    def from_integers(cls, num, factors) -> "RationalFunction":
-        """num / prod(factors), for lists of int coefficients by
-        ascending exponent with no trailing zeros, each factor nonzero.
-        A linear factor cancels from num by exact integer division, so
-        only factors of higher degree cost a gcd."""
-        if not num:
-            return RF_ZERO
-        content = 1
-        den = [1]
-        linear = {}
-        for f in factors:
-            if len(f) == 2:
-                b, a = f
-                g = _igcd(a, b) if a > 0 else -_igcd(a, b)
-                content *= g
-                key = (b // g, a // g)
-                linear[key] = linear.get(key, 0) + 1
-            else:
-                den = int_poly_mul(den, f)
-        nonlinear = len(den) > 1
-        den = [c * content for c in den]
-        for (b, a), e in linear.items():
-            while e:
-                quotient = _divide_linear(num, a, b)
-                if quotient is None:
-                    break
-                num, e = quotient, e - 1
-            for _ in range(e):
-                den = int_poly_mul(den, [b, a])
-        if nonlinear:
-            return cls(Polynomial._make([Fraction(c) for c in num]),
-                       Polynomial._make([Fraction(c) for c in den]))
-        lead = den[-1]
-        return cls._make(Polynomial._make([Fraction(c, lead) for c in num]),
-                         Polynomial._make([Fraction(c, lead) for c in den]))
-
-    def integer_parts(self):
-        """The numerator and denominator as lists of int coefficients by
-        ascending exponent, both scaled by the one rational that clears
-        their denominators."""
-        n, d = self._integer_cleared()
-        return [c.numerator for c in n.coeffs], [c.numerator for c in d.coeffs]
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -485,45 +441,6 @@ def make_rational_function(num: Polynomial, den: Polynomial) -> RationalFunction
 
 def evaluate(f: RationalFunction, x) -> Fraction:
     return f.evaluate(x)
-
-
-def int_poly_add(a: list, b: list) -> list:
-    """Sum of two lists of int coefficients by ascending exponent."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def int_poly_mul(a: list, b: list) -> list:
-    """Product of two lists of int coefficients by ascending exponent."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _divide_linear(num: list, a: int, b: int):
-    """num / (a*m + b) when it divides num, else None; a > 0 and
-    gcd(a, b) = 1, so by Gauss's lemma the quotient of an int list is an
-    int list."""
-    rem = list(num)
-    out = [0] * (len(num) - 1)
-    for i in range(len(num) - 1, 0, -1):
-        t, r = divmod(rem[i], a)
-        if r:
-            return None
-        out[i - 1] = t
-        rem[i - 1] -= t * b
-    return out if rem[0] == 0 else None
 
 
 def _divisors(n: int):

@@ -16,7 +16,6 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
 
 from .chow import ChowClass, ChowRing, ring_blowup_point
 from .errors import (
@@ -29,11 +28,12 @@ from .errors import (
     UniverseMismatch,
 )
 from .exactnum import (
+    ONE_POLY,
     RF_M,
+    ZERO_POLY,
+    Polynomial,
     RationalFunction,
     as_fraction,
-    int_poly_add,
-    int_poly_mul,
     rf,
 )
 
@@ -297,24 +297,26 @@ def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
     """Sum of c * prod_{i in I} x_i over the (I, c) in terms, with
     x_i = 1/(1+m_i), or x_i = 1/(1+m_i) - 1 = -m_i/(1+m_i) when less_one.
 
-    With m_i = n_i/d_i in lowest terms, x_i is d_i/(d_i+n_i) (or
-    -n_i/(d_i+n_i)). The sum is built over the product of the d_i+n_i
-    of the names that occur, in integer polynomial arithmetic, and
-    reduced once at the end. An index set may occur more than once.
+    With m_i = n_i/d_i, x_i is d_i/(d_i+n_i) (or -n_i/(d_i+n_i)). The sum
+    is built over the product of the d_i+n_i of the names that occur, with
+    polynomial arithmetic only, and reduced once at the end. An index set
+    may occur more than once.
     """
     terms = [(frozenset(index), as_fraction(c)) for index, c in terms if c]
     factors = []
     for name in sorted(set().union(*(index for index, _ in terms))):
-        n, d = mults[name].integer_parts()
-        factors.append((name, [-c for c in n] if less_one else d, int_poly_add(d, n)))
-    scale = lcm(*(c.denominator for _, c in terms))
-    num = []
+        n, d = mults[name].num, mults[name].den
+        factors.append((name, -n if less_one else d, d + n))
+    num = ZERO_POLY
     for index, c in terms:
-        term = [c.numerator * (scale // c.denominator)]
+        term = Polynomial._make([c])
         for name, p, q in factors:
-            term = int_poly_mul(term, p if name in index else q)
-        num = int_poly_add(num, term)
-    return RationalFunction.from_integers(num, [[scale]] + [q for _, _, q in factors])
+            term = term * (p if name in index else q)
+        num = num + term
+    den = ONE_POLY
+    for _, _, q in factors:
+        den = den * q
+    return RationalFunction(num, den)
 
 
 def chi_open(chi_closed: dict, index: frozenset) -> Fraction:

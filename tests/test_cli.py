@@ -128,13 +128,14 @@ def test_large_euler_table_key_is_not_expanded(tmp_path, capsys):
          f"{whole.render()}\npoles: {rational_poles(whole).render()}\n"),
         (["degree", path, "--selection", "closed:N0,N5"], closed.render() + "\n"),
     ):
-        start = time.perf_counter()
+        start = time.process_time()
         try:
             with time_limit(5):
                 code, out, err = run_cli(capsys, *argv)
         except Overrun:
             pytest.fail(f"{argv[0]} ran past 5 s")
-        assert time.perf_counter() - start < 1
+        # CPU time, so that a loaded machine does not fail the bound
+        assert time.process_time() - start < 1
         assert (code, out, err) == (0, want, "")
 
 
