@@ -51,8 +51,14 @@ class ChowRing:
     Instances compare by identity; two rings built from the same data
     are still distinct carriers, and classes never cross between them.
     `blown_up` holds the result of `ring_blowup_point` on this ring once
-    it has been built, and `integer_products` the table of
-    `integer_table` once it has been asked for.
+    it has been built.
+
+    `table` holds the structure constants over one common denominator,
+    built once with the ring: it is (d, rows), where rows[a][b] holds
+    the pairs (name, k) with a*b = sum of (k/d)*name, for each pair of
+    basis names whose product is nonzero, the unit law included. d is
+    the lcm of the denominators of the structure constants, 1 for
+    catalog rings. Validation and every class product read it.
     """
 
     __slots__ = (
@@ -69,7 +75,7 @@ class ChowRing:
         "kind",
         "meta",
         "blown_up",
-        "integer_products",
+        "table",
     )
 
     def __init__(self, dim, basis, products, degree_values, tangent_chern_coeffs,
@@ -102,7 +108,6 @@ class ChowRing:
         self.kind = kind
         self.meta = dict(meta or {})
         self.blown_up = None
-        self.integer_products = None
         self.tangent_chern = None
         self._validate()
         if tangent_chern_coeffs is not None:
@@ -134,6 +139,7 @@ class ChowRing:
                     raise PresentationError(
                         f"product {a}*{b} violates the grading at {name!r}"
                     )
+        self.table = self._structure_table()
         top = self.basis[self.dim]
         for name in top:
             if name not in self.degree_values:
@@ -151,17 +157,34 @@ class ChowRing:
                 raise PresentationError(f"point class {self.point!r} has wrong codimension")
             if self.degree_values[self.point] != 1:
                 raise PresentationError(f"point class {self.point!r} must have degree 1")
+        rows = self.table[1]
         nonunit = [n for n in self.all_names if n != self.fundamental]
         for a in nonunit:
+            row = rows[a]
             for b in nonunit:
-                ab = self.mul_basis(a, b)
+                ab = row.get(b, ())
+                row_b = rows[b]
                 for c in nonunit:
-                    left = self._mul_dict_basis(ab, c)
-                    right = self._mul_dict_basis(self.mul_basis(b, c), a)
-                    if left != right:
+                    bc = row_b.get(c, ())
+                    if (ab or bc) and _times(rows, ab, c) != _times(rows, bc, a):
                         raise PresentationError(
                             f"associativity fails on ({a}*{b})*{c}"
                         )
+
+    def _structure_table(self):
+        """The (d, rows) of `table`; the unit law overrides any product
+        listed for the fundamental class, and zero constants are left out."""
+        d = lcm(*(f.denominator for t in self.products.values() for f in t.values()))
+        rows = {a: {} for a in self.all_names}
+        for (a, b), t in self.products.items():
+            entries = tuple(
+                (name, f.numerator * (d // f.denominator)) for name, f in t.items() if f)
+            if entries:
+                rows[a][b] = rows[b][a] = entries
+        unit = self.fundamental
+        for a in self.all_names:
+            rows[unit][a] = rows[a][unit] = ((a, d),)
+        return d, rows
 
     def _validate_chern(self):
         chern = self.tangent_chern
@@ -174,53 +197,6 @@ class ChowRing:
             raise PresentationError(
                 "tangent Chern class must have codimension-0 part 1"
             )
-
-    def mul_basis(self, a: str, b: str) -> dict:
-        if a == self.fundamental:
-            return {b: Fraction(1)}
-        if b == self.fundamental:
-            return {a: Fraction(1)}
-        if self.index_of[a] > self.index_of[b]:
-            a, b = b, a
-        return self.products.get((a, b), {})
-
-    def integer_table(self):
-        """The structure constants over one common denominator d.
-
-        Returns (d, rows), where rows[a][b] holds the pairs (name, k)
-        with a*b = sum of (k/d)*name, for each pair of basis names whose
-        product is nonzero. Built on first use; d is the lcm of the
-        denominators of the structure constants, 1 for catalog rings.
-        """
-        if self.integer_products is None:
-            d = 1
-            for table in self.products.values():
-                for f in table.values():
-                    d = lcm(d, f.denominator)
-            rows = {}
-            for a in self.all_names:
-                row = rows[a] = {}
-                for b in self.all_names:
-                    table = self.mul_basis(a, b)
-                    if table:
-                        row[b] = tuple(
-                            (name, f.numerator * (d // f.denominator))
-                            for name, f in table.items()
-                        )
-            self.integer_products = (d, rows)
-        return self.integer_products
-
-    def _mul_dict_basis(self, d: dict, c: str) -> dict:
-        """The product of a {name: Fraction} combination with a basis name."""
-        out = {}
-        for name, coeff in d.items():
-            for res, f in self.mul_basis(name, c).items():
-                v = out.get(res, Fraction(0)) + coeff * f
-                if v == 0:
-                    out.pop(res, None)
-                else:
-                    out[res] = v
-        return out
 
     def zero(self) -> "ChowClass":
         return ChowClass._from_ints(self, 1, {})
@@ -377,41 +353,37 @@ class ChowClass:
         return ChowClass._make(self.ring, {n: v * c for n, v in self.coeffs.items()})
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
-        """Product in the ring, by one of two paths with equal results.
+        """Product in the ring, in one loop over the ring's `table`.
 
-        Two classes in integer form multiply in Python ints over the
-        ring's `integer_table`, with the common factors removed once at
-        the end. Any other pair goes through the loop over Q(m)
-        coefficients below.
+        Two classes in integer form multiply in Python ints, with the
+        common factors removed once at the end. Any other pair
+        multiplies its Q(m) coefficients and divides by the table's
+        denominator once at the end.
         """
         self._check_ring(other)
         xs, ys = self._ints, other._ints
-        if xs is not None and ys is not None:
-            d, rows = self.ring.integer_table()
-            out = {}
-            for a, xa in xs.items():
-                row = rows[a]
-                for b, yb in ys.items():
-                    entries = row.get(b)
-                    if entries:
-                        xy = xa * yb
-                        for name, k in entries:
-                            out[name] = out.get(name, 0) + xy * k
+        ints = xs is not None and ys is not None
+        if not ints:
+            xs, ys = self.coeffs, other.coeffs
+        d, rows = self.ring.table
+        out = {}
+        for a, xa in xs.items():
+            row = rows[a]
+            for b, yb in ys.items():
+                entries = row.get(b)
+                if entries:
+                    xy = xa * yb
+                    for name, k in entries:
+                        term = xy if k == 1 else k * xy
+                        prev = out.get(name)
+                        out[name] = term if prev is None else prev + term
+        if ints:
             return ChowClass._from_ints(
                 self.ring, self._den * other._den * d,
                 {n: v for n, v in out.items() if v})
-        mul_basis = self.ring.mul_basis
-        out = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                table = mul_basis(a, b)
-                if not table:
-                    continue
-                cab = ca * cb
-                for name, f in table.items():
-                    term = cab if f == 1 else cab * rf(f)
-                    prev = out.get(name)
-                    out[name] = term if prev is None else prev + term
+        if d != 1:
+            inv = Fraction(1, d)
+            out = {n: inv * v for n, v in out.items()}
         return ChowClass._make(self.ring, out)
 
     def __pow__(self, k: int) -> "ChowClass":
@@ -537,6 +509,16 @@ def _fill(self: ChowClass, ring: ChowRing, values: dict):
     else:
         _set(self, "_den", None)
         _set(self, "_ints", None)
+
+
+def _times(rows: dict, entries, c: str) -> dict:
+    """The nonzero numerators, over the table's d^2, of the product with
+    c of the combination sum of k*name over entries."""
+    out = {}
+    for name, k in entries:
+        for res, kc in rows[name].get(c, ()):
+            out[res] = out.get(res, 0) + k * kc
+    return {n: v for n, v in out.items() if v}
 
 
 def _sum_ints(x: ChowClass, y: ChowClass) -> ChowClass:

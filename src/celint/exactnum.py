@@ -295,10 +295,6 @@ class RationalFunction:
             return RF_ZERO
         return cls._make(Polynomial._make([q]), ONE_POLY)
 
-    @classmethod
-    def variable(cls) -> "RationalFunction":
-        return cls(M_POLY)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -361,6 +357,10 @@ class RationalFunction:
         if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
             return RationalFunction._make(self.num * other.num, ONE_POLY)
         return RationalFunction(self.num * other.num, self.den * other.den)
+
+    def __rmul__(self, k) -> "RationalFunction":
+        """k * self for a nonzero int or Fraction k, which keeps the form canonical."""
+        return RationalFunction._make(self.num.scale(k), self.den)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero():

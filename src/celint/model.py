@@ -58,6 +58,17 @@ def _check_mult(name: str, mult: RationalFunction):
         )
 
 
+def _mult_table(names, mults) -> dict:
+    """mults as a dict, checked to cover exactly names and to hold no
+    multiplicity identically -1."""
+    table = dict(mults)
+    if set(table) != set(names):
+        raise SchemaError("multiplicity table must cover exactly the components")
+    for name, mult in table.items():
+        _check_mult(name, mult)
+    return table
+
+
 def _check_decomposition(name, mult, decomposition):
     if decomposition is None:
         return
@@ -141,6 +152,12 @@ def _all_subsets(names):
             combinations(items, r) for r in range(len(items) + 1)
         )
     )
+
+
+def sorted_strata(strata) -> list:
+    """The index sets by size, then by their sorted names: the order in
+    which strata are listed and seeded draws visit them."""
+    return sorted(strata, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 class StratumSelection:
@@ -274,7 +291,7 @@ class StratumSelection:
         if core is not None:
             return "closed: " + ",".join(sorted(core))
         parts = []
-        for s in sorted(self.strata, key=lambda s: (len(s), tuple(sorted(s)))):
+        for s in sorted_strata(self.strata):
             parts.append("{" + ",".join(sorted(s)) + "}")
         return "strata: " + "; ".join(parts)
 
@@ -351,11 +368,7 @@ class DegreeConfig:
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise SchemaError("duplicate component names")
-        self.mults = dict(mults)
-        if set(self.mults) != set(self.names):
-            raise SchemaError("multiplicity table must cover exactly the components")
-        for name, mult in self.mults.items():
-            _check_mult(name, mult)
+        self.mults = _mult_table(self.names, mults)
         self.decompositions = {name: dec for name, dec in
                                (decompositions or {}).items() if dec is not None}
         for name, dec in self.decompositions.items():
@@ -397,11 +410,7 @@ class FiberedConfig:
 
     def __init__(self, names, mults, selection, base_strata, fiber):
         self.names = tuple(names)
-        self.mults = dict(mults)
-        if set(self.mults) != set(self.names):
-            raise SchemaError("multiplicity table must cover exactly the components")
-        for name, mult in self.mults.items():
-            _check_mult(name, mult)
+        self.mults = _mult_table(self.names, mults)
         selection.check_universe(self.names)
         self.selection = selection
         self.base_strata = {str(k): as_fraction(v) for k, v in base_strata.items()}

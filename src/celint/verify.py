@@ -33,6 +33,7 @@ from .model import (
     StratumSelection,
     blowup_transport,
     blowup_transport_degree,
+    sorted_strata,
 )
 
 DEFAULT_SEED = 20260818
@@ -383,10 +384,7 @@ def _rand_selection(rng: random.Random, names) -> StratumSelection:
         return StratumSelection.from_closed(names, rng.sample(list(names), size))
     if kind == 2:
         return StratumSelection.empty(names)
-    pool = sorted(
-        StratumSelection.whole(names).strata,
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    pool = sorted_strata(StratumSelection.whole(names).strata)
     return StratumSelection.from_strata(
         names, [s for s in pool if rng.random() < 0.5]
     )
@@ -440,10 +438,7 @@ def _rand_degree_config(rng: random.Random) -> DegreeConfig:
     names = tuple(f"C{i + 1}" for i in range(count))
     mults = {name: rf(_rand_fraction(rng)) for name in names}
     table = {frozenset(): Fraction(rng.randint(1, 6))}
-    pool = sorted(
-        StratumSelection.whole(names).strata,
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    pool = sorted_strata(StratumSelection.whole(names).strata)
     for key in pool:
         if key and rng.random() < 0.6:
             table[key] = Fraction(rng.randint(-3, 5))
@@ -477,10 +472,7 @@ def _instance_csmnorm(rng: random.Random) -> CheckReport:
     ring = _rand_surface(rng)
     config = _rand_config(rng, ring)
     total = ring.zero()
-    pool = sorted(
-        StratumSelection.whole(config.names).strata,
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    pool = sorted_strata(StratumSelection.whole(config.names).strata)
     for index in pool:
         total = total + csm_stratum(config, index)
     return _compare(

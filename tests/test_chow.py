@@ -259,6 +259,24 @@ def test_literal_ring_associativity_check():
     # (b*b)*a = 0 but b*(b*a) = b*c = p
     with pytest.raises(PresentationError):
         ring_literal(spec)
+    # with a*a = x/2, a*b = x/3, a*x = p and b*x = (2/3)*p, associativity
+    # asks b*b = (2/9)*x: (a*b)*b = (2/9)*p = (b*b)*a
+    rational = {
+        "dim": 3,
+        "basis": [["[V]"], ["a", "b"], ["x"], ["p"]],
+        "products": {
+            "a,a": "(1/2)*x",
+            "a,b": "(1/3)*x",
+            "b,b": "(2/9)*x",
+            "a,x": "p",
+            "b,x": "(2/3)*p",
+        },
+        "degree": {"p": 1},
+    }
+    assert ring_literal(rational).table[0] == 18
+    rational["products"]["b,b"] = "(1/5)*x"
+    with pytest.raises(PresentationError, match="associativity"):
+        ring_literal(rational)
 
 
 def test_literal_ring_commutativity_conflict():
@@ -387,7 +405,14 @@ def reference_product(x, y):
     out = {}
     for a, ca in x.coeffs.items():
         for b, cb in y.coeffs.items():
-            for name, f in ring.mul_basis(a, b).items():
+            if a == ring.fundamental:
+                table = {b: 1}
+            elif b == ring.fundamental:
+                table = {a: 1}
+            else:
+                key = (a, b) if ring.index_of[a] <= ring.index_of[b] else (b, a)
+                table = ring.products.get(key, {})
+            for name, f in table.items():
                 out[name] = out.get(name, rf(0)) + ca * cb * rf(f)
     return ChowClass(ring, out)
 
@@ -495,13 +520,10 @@ def test_constant_products_match_the_qm_loop(pair):
 
 
 def test_integer_table_has_one_common_denominator():
-    assert [ring.integer_table()[0] for ring in CONSTANT_RINGS] == [1, 1, 1, 1, 30]
-    d, rows = RATIONAL_LITERAL.integer_table()
+    assert [ring.table[0] for ring in CONSTANT_RINGS] == [1, 1, 1, 1, 30]
+    d, rows = RATIONAL_LITERAL.table
     assert rows["a"]["b"] == (("p", 10),) and rows["b"]["b"] == (("p", -12),)
     assert rows["[S]"]["a"] == (("a", 30),)
-    assert RATIONAL_LITERAL.integer_table() is RATIONAL_LITERAL.integer_table()
-    # ring construction does not build the table
-    assert ring_projective(2).integer_products is None
 
 
 def test_constant_products_skip_polynomial_arithmetic(monkeypatch):
