@@ -62,7 +62,6 @@ from .model import (
 )
 from .celestial import (
     ConstructibleFunction,
-    ManifestationChain,
     alternate_form2,
     alternate_form3,
     csm_set,

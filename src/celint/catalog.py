@@ -10,63 +10,64 @@ exhaustively before use.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
+from operator import add, le
 
 from .chow import ChowRing, PushForwardMap, identity_map
 from .errors import PresentationError, UnsupportedCatalog
 
 
-def ring_point() -> ChowRing:
+def _monomial_name(exponents) -> str:
+    """h^i on a single factor, h1^i*h2^j on two; [V] for the unit."""
+    letters = ("h",) if len(exponents) == 1 else ("h1", "h2")
+    parts = [x if e == 1 else f"{x}^{e}" for x, e in zip(letters, exponents) if e]
+    return "*".join(parts) or "[V]"
+
+
+def _projective_product(dims, kind) -> ChowRing:
+    """The product of projective spaces of the given dimensions.
+
+    The basis is the monomials in one hyperplane class per factor,
+    ordered by codimension and then by descending exponent on the first
+    factor; the tangent Chern class is the product of the (1 + h)^(n+1).
+    """
+    monomials = list(product(*(range(n + 1) for n in dims)))
+    order = sorted(monomials, key=lambda e: (sum(e), [-x for x in e]))
+    position = {e: k for k, e in enumerate(order)}
+    name = {e: _monomial_name(e) for e in monomials}
+    basis = [[] for _ in range(sum(dims) + 1)]
+    for e in order:
+        basis[sum(e)].append(name[e])
+    products = {}
+    for e1 in monomials[1:]:
+        for e2 in monomials[1:]:
+            e = tuple(map(add, e1, e2))
+            if position[e1] <= position[e2] and all(map(le, e, dims)):
+                products[(name[e1], name[e2])] = {name[e]: Fraction(1)}
+    chern = {name[e]: Fraction(prod(map(comb, (n + 1 for n in dims), e)))
+             for e in monomials}
+    point = name[tuple(dims)]
     return ChowRing(
-        dim=0,
-        basis=[["[V]"]],
-        products={},
-        degree_values={"[V]": Fraction(1)},
-        tangent_chern_coeffs={"[V]": Fraction(1)},
-        point="[V]",
-        kind=("projective", 0),
+        dim=sum(dims),
+        basis=basis,
+        products=products,
+        degree_values={point: Fraction(1)},
+        tangent_chern_coeffs=chern,
+        point=point,
+        kind=kind,
     )
 
 
-def _proj_name(i: int) -> str:
-    if i == 0:
-        return "[V]"
-    return "h" if i == 1 else f"h^{i}"
+def ring_point() -> ChowRing:
+    return _projective_product((0,), ("projective", 0))
 
 
 def ring_projective(n: int) -> ChowRing:
     """Projective space of dimension n; n = 0 is the point ring."""
     if n < 0:
         raise UnsupportedCatalog("projective space needs dimension >= 0")
-    if n == 0:
-        return ring_point()
-    basis = [[_proj_name(i)] for i in range(n + 1)]
-    products = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i + j <= n:
-                products[(_proj_name(i), _proj_name(j))] = {
-                    _proj_name(i + j): Fraction(1)
-                }
-    chern = {_proj_name(k): Fraction(comb(n + 1, k)) for k in range(n + 1)}
-    return ChowRing(
-        dim=n,
-        basis=basis,
-        products=products,
-        degree_values={_proj_name(n): Fraction(1)},
-        tangent_chern_coeffs=chern,
-        point=_proj_name(n),
-        kind=("projective", n),
-    )
-
-
-def _product_name(i: int, j: int) -> str:
-    parts = []
-    if i > 0:
-        parts.append("h1" if i == 1 else f"h1^{i}")
-    if j > 0:
-        parts.append("h2" if j == 1 else f"h2^{j}")
-    return "*".join(parts) if parts else "[V]"
+    return _projective_product((n,), ("projective", n))
 
 
 def ring_product(r1: ChowRing, r2: ChowRing) -> ChowRing:
@@ -76,42 +77,7 @@ def ring_product(r1: ChowRing, r2: ChowRing) -> ChowRing:
             raise UnsupportedCatalog(
                 "ring products are supported for projective factors only"
             )
-    a, b = r1.dim, r2.dim
-    basis = []
-    for c in range(a + b + 2 - 1):
-        level = []
-        for i in range(min(c, a), max(0, c - b) - 1, -1):
-            level.append(_product_name(i, c - i))
-        basis.append(level)
-    products = {}
-    index = {}
-    for codim, level in enumerate(basis):
-        for name in level:
-            index[name] = len(index)
-    pairs = [(i, j) for i in range(a + 1) for j in range(b + 1) if i + j > 0]
-    for i1, j1 in pairs:
-        for i2, j2 in pairs:
-            n1, n2 = _product_name(i1, j1), _product_name(i2, j2)
-            if index[n1] > index[n2]:
-                continue
-            if i1 + i2 <= a and j1 + j2 <= b:
-                products[(n1, n2)] = {
-                    _product_name(i1 + i2, j1 + j2): Fraction(1)
-                }
-    chern = {}
-    for i in range(a + 1):
-        for j in range(b + 1):
-            chern[_product_name(i, j)] = Fraction(comb(a + 1, i) * comb(b + 1, j))
-    top = _product_name(a, b)
-    return ChowRing(
-        dim=a + b,
-        basis=basis,
-        products=products,
-        degree_values={top: Fraction(1)},
-        tangent_chern_coeffs=chern,
-        point=top,
-        kind=("product", (a, b)),
-    )
+    return _projective_product((r1.dim, r2.dim), ("product", (r1.dim, r2.dim)))
 
 
 def _epower_name(e: str, k: int) -> str:

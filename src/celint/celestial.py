@@ -80,47 +80,23 @@ class ConstructibleFunction:
         return "\n".join(f"{name}: {v.render()}" for name, v in self.entries)
 
 
-class ManifestationChain:
-    """Composable sequence of push-forward maps."""
-
-    __slots__ = ("maps",)
-
-    def __init__(self, maps):
-        self.maps = tuple(maps)
-        for first, second in zip(self.maps, self.maps[1:]):
-            if first.target is not second.source:
-                raise RingMismatch("chain maps do not compose")
-
-    @property
-    def source(self):
-        return self.maps[0].source if self.maps else None
-
-    @property
-    def target(self):
-        return self.maps[-1].target if self.maps else None
-
-    def push(self, c: ChowClass) -> ChowClass:
-        for f in self.maps:
-            c = f.push(c)
-        return c
-
-
-def _as_chain(chain) -> ManifestationChain:
-    if chain is None:
-        return ManifestationChain(())
-    if isinstance(chain, ManifestationChain):
-        return chain
-    if isinstance(chain, PushForwardMap):
-        return ManifestationChain((chain,))
-    return ManifestationChain(tuple(chain))
-
-
 def manifest(c: ChowClass, chain) -> ChowClass:
-    """Push a class through a chain; the empty chain is the identity."""
-    chain = _as_chain(chain)
-    if chain.source is not None and c.ring is not chain.source:
+    """Push a class through a chain: None, one map or a sequence of maps
+    that compose; the empty chain is the identity."""
+    if chain is None:
+        maps = ()
+    elif isinstance(chain, PushForwardMap):
+        maps = (chain,)
+    else:
+        maps = tuple(chain)
+    for first, second in zip(maps, maps[1:]):
+        if first.target is not second.source:
+            raise RingMismatch("chain maps do not compose")
+    if maps and c.ring is not maps[0].source:
         raise RingMismatch("class does not live at the start of the chain")
-    return chain.push(c)
+    for f in maps:
+        c = f.push(c)
+    return c
 
 
 def log_chern(config: NCConfig) -> ChowClass:
@@ -148,9 +124,10 @@ def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
     With F_i = 1 + E_i/(1+m_i), the whole selection is the product of
     all F_i, and closed(L) is the product of F_i over i outside L times
     (the product over L, minus 1): c + 1 class products in all. An
-    explicit selection costs one product per listed index set; sets with
-    more members than the dimension are skipped, since their products
-    vanish.
+    explicit selection costs one integer class product E_I per listed
+    index set, and then one `stratum_sum` per basis name over the
+    constant coefficients of the E_I; sets with more members than the
+    dimension are skipped, since their products vanish.
     """
     selection = _selection_for(config, selection)
     ring = config.ring
@@ -169,17 +146,17 @@ def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
         outside = factors(n for n in config.names if n not in core)
         inside = factors(n for n in config.names if n in core)
         return outside * (inside - ring.one())
-    total = ring.zero()
+    terms = {}
     for index in selection.strata:
         if len(index) > ring.dim:
             continue
         term = ring.one()
-        weight = RF_ONE
         for name in index:
             term = term * config.divisor_of(name)
-            weight = weight / (RF_ONE + config.mult_of(name))
-        total = total + term.scale(weight)
-    return total
+        for name, c in term.fractions().items():
+            terms.setdefault(name, []).append((index, c))
+    return ChowClass._make(ring, {
+        name: stratum_sum(pairs, config.mults) for name, pairs in terms.items()})
 
 
 def integrate_class(config: NCConfig, selection: StratumSelection = None) -> ChowClass:

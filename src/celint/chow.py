@@ -240,7 +240,7 @@ class ChowClass:
     view of either form, built on first read for an integer form.
     """
 
-    __slots__ = ("ring", "_den", "_ints", "_coeffs", "_hash")
+    __slots__ = ("ring", "_den", "_ints", "_coeffs")
 
     def __init__(self, ring: ChowRing, coeffs: dict):
         values = {}
@@ -288,6 +288,12 @@ class ChowClass:
             })
         return self._coeffs
 
+    def fractions(self) -> dict:
+        """The nonzero coefficients of a constant class as Fractions, by
+        basis name, read from the integer form."""
+        d = self._den
+        return {n: Fraction(v, d) for n, v in self._ints.items()}
+
     def _check_ring(self, other: "ChowClass"):
         if self.ring is not other.ring:
             raise RingMismatch("classes live in different rings")
@@ -310,16 +316,11 @@ class ChowClass:
         return other._ints is None and self._coeffs == other._coeffs
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            if self._ints is not None:
-                key = (self._den, frozenset(self._ints.items()))
-            else:
-                key = frozenset(self._coeffs.items())
-            h = hash((id(self.ring), key))
-            _set(self, "_hash", h)
-            return h
+        if self._ints is not None:
+            key = (self._den, frozenset(self._ints.items()))
+        else:
+            key = frozenset(self._coeffs.items())
+        return hash((id(self.ring), key))
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check_ring(other)

@@ -14,8 +14,7 @@ takes a numerator and denominator that are already coprime, with the
 denominator monic (or the numerator zero and the denominator 1). A
 monic constant denominator is 1, which is coprime to every numerator,
 so sums and products of two polynomial values, negations and
-nonnegative powers are built through it without a gcd. Hashes are
-computed on first use.
+nonnegative powers are built through it without a gcd.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ _ZERO = Fraction(0)
 class Polynomial:
     """Dense univariate polynomial over Q, coefficients stored by ascending exponent."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [as_fraction(c) for c in coeffs]
@@ -92,12 +91,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.coeffs)
-            _set(self, "_hash", h)
-            return h
+        return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -251,7 +245,7 @@ M_POLY = Polynomial((Fraction(0), Fraction(1)))
 class RationalFunction:
     """Reduced fraction of polynomials with a monic denominator."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial = ONE_POLY):
         if not isinstance(num, Polynomial):
@@ -325,12 +319,7 @@ class RationalFunction:
         )
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.num, self.den))
-            _set(self, "_hash", h)
-            return h
+        return hash((self.num, self.den))
 
     # A canonical denominator of degree 0 is 1, so len(den.coeffs) == 1
     # tests for a polynomial value, whose sums and products need no gcd.

@@ -98,7 +98,7 @@ def _warn_if_outside(config):
 class NCConfig:
     """Divisor components with multiplicities on one ring."""
 
-    __slots__ = ("ring", "components", "by_name", "names", "_log_chern")
+    __slots__ = ("ring", "components", "by_name", "names", "mults", "_log_chern")
 
     def __init__(self, ring: ChowRing, components):
         self.ring = ring
@@ -126,6 +126,7 @@ class NCConfig:
             _check_decomposition(comp.name, comp.mult, comp.decomposition)
             self.by_name[comp.name] = comp
         self.names = tuple(c.name for c in self.components)
+        self.mults = {c.name: c.mult for c in self.components}
 
     def mult_of(self, name: str) -> RationalFunction:
         return self.by_name[name].mult
@@ -439,9 +440,6 @@ class FiberedConfig:
              if lab == label and index in selection),
             self.mults,
         )
-
-    def values(self) -> dict:
-        return {label: self.value_at(label) for label in self.base_strata}
 
     def total(self) -> RationalFunction:
         """Pairing against the base Euler characteristics."""

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,7 +48,7 @@ from celint.model import (
     load_model,
 )
 
-from conftest import read_fixture
+from conftest import read_fixture, time_limit
 
 P2 = ring_projective(2)
 RF_M = parse_rf("m")
@@ -349,6 +350,20 @@ def test_manifest_checks_source_ring():
     assert manifest(P2.one(), None) == P2.one()
 
 
+def test_manifest_takes_none_one_map_or_a_list():
+    blown_up, down, e = ring_blowup_point(P2)
+    cls = blown_up.one() + e
+    assert manifest(cls, None) is cls
+    assert manifest(cls, down) == down.push(cls) == P2.one()
+    assert manifest(cls, [down]) == manifest(cls, (down,)) == P2.one()
+    # composition is checked before the source ring, whatever the class
+    for c in (cls, P2.one()):
+        with pytest.raises(RingMismatch, match="^chain maps do not compose$"):
+            manifest(c, [down, down])
+    with pytest.raises(RingMismatch, match="start of the chain"):
+        manifest(P2.one(), [down])
+
+
 def test_ix_cone_function():
     model = load_model(read_fixture("ix_cone.json"))
     fn = ix_function(model.fibered)
@@ -492,7 +507,8 @@ def test_selection_linearity_random(strata):
 
 P3 = ring_projective(3)
 BLOWN_UP_P2 = ring_blowup_point(P2)[0]
-MULTS = (rf(0), rf(Fraction(1, 2)), rf(3), RF_M, rf(2) * RF_M + rf(1))
+MULTS = (rf(0), rf(Fraction(1, 2)), rf(3), RF_M, rf(2) * RF_M + rf(1),
+         RF_M / (rf(2) + RF_M), rf(Fraction(1, 3)) * RF_M + rf(10**18))
 
 
 def all_subsets(names):
@@ -644,6 +660,27 @@ def test_explicit_list_of_a_closed_selection_is_canonical(core):
     assert whole.kind == "whole" and whole == StratumSelection.whole(names)
     assert hash(whole) == hash(StratumSelection.whole(names))
     assert whole.describe() == "whole"
+
+
+def test_explicit_selection_with_large_multiplicities_is_fast():
+    # P^2 with 12 components of class h and 19-digit k: dividing each
+    # listed set's weight out in Q(m) took about 5 s of CPU
+    h = P2.basis_class("h")
+    names = tuple(f"E{i}" for i in range(12))
+    mults = {name: rf(1 + i % 3) * RF_M + rf(10**18 + i)
+             for i, name in enumerate(names)}
+    config = NCConfig(P2, [Component(name, mults[name], h) for name in names])
+    listed = [s for s in all_subsets(names) if len(s) <= 2][:-1]
+    selection = StratumSelection.from_strata(names, listed)
+    assert selection.kind == "explicit"
+    start = time.process_time()
+    with time_limit(5):
+        value = integrate_class(config, selection)
+    assert time.process_time() - start < 2
+    at = Fraction(29, 7)
+    special = NCConfig(P2, [Component(name, rf(mults[name].evaluate(at)), h)
+                            for name in names])
+    assert value.evaluate(at) == integrate_class(special, selection)
 
 
 def truncated_product(factors, dim):

@@ -242,6 +242,15 @@ def test_literal_ring_validation_failures():
     with pytest.raises(PresentationError):
         ring_literal(duplicate)
 
+    # literal data is linear in the basis names: a power of a name is a
+    # parse error (exit 2), a power of a constant is a number
+    squared = dict(good, products={"h,h": "h^2"})
+    with pytest.raises(ParseError, match="powers") as failure:
+        ring_literal(squared)
+    assert failure.value.exit_code == 2
+    halved = ring_literal(dict(good, products={"h,h": "2^-1*p"}))
+    assert halved.products[("h", "h")] == {"p": Fraction(1, 2)}
+
 
 def test_literal_ring_associativity_check():
     spec = {
@@ -818,3 +827,87 @@ def test_push_and_pull_match_coefficientwise_qm(upstairs, downstairs):
             for n, v in images[name].coeffs.items():
                 expected[n] = expected[n] + coeff * v
         assert_same(f(c), ChowClass(ring, expected))
+
+
+# -- catalog constructors against the per-kind reference ----------------------
+# The reference builds each catalog kind with code of its own, apart from
+# the one constructor that the catalog shares between them.
+
+
+def reference_point():
+    return ChowRing(
+        dim=0, basis=[["[V]"]], products={},
+        degree_values={"[V]": Fraction(1)},
+        tangent_chern_coeffs={"[V]": Fraction(1)},
+        point="[V]", kind=("projective", 0),
+    )
+
+
+def reference_proj_name(i):
+    if i == 0:
+        return "[V]"
+    return "h" if i == 1 else f"h^{i}"
+
+
+def reference_projective(n):
+    if n == 0:
+        return reference_point()
+    name = reference_proj_name
+    products = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if i + j <= n:
+                products[(name(i), name(j))] = {name(i + j): Fraction(1)}
+    return ChowRing(
+        dim=n, basis=[[name(i)] for i in range(n + 1)], products=products,
+        degree_values={name(n): Fraction(1)},
+        tangent_chern_coeffs={name(k): Fraction(math.comb(n + 1, k))
+                              for k in range(n + 1)},
+        point=name(n), kind=("projective", n),
+    )
+
+
+def reference_product_name(i, j):
+    parts = []
+    if i > 0:
+        parts.append("h1" if i == 1 else f"h1^{i}")
+    if j > 0:
+        parts.append("h2" if j == 1 else f"h2^{j}")
+    return "*".join(parts) if parts else "[V]"
+
+
+def reference_ring_product(a, b):
+    name = reference_product_name
+    basis = [[name(i, c - i) for i in range(min(c, a), max(0, c - b) - 1, -1)]
+             for c in range(a + b + 1)]
+    index = {n: k for k, n in enumerate(x for level in basis for x in level)}
+    pairs = [(i, j) for i in range(a + 1) for j in range(b + 1) if i + j > 0]
+    products = {}
+    for i1, j1 in pairs:
+        for i2, j2 in pairs:
+            n1, n2 = name(i1, j1), name(i2, j2)
+            if index[n1] <= index[n2] and i1 + i2 <= a and j1 + j2 <= b:
+                products[(n1, n2)] = {name(i1 + i2, j1 + j2): Fraction(1)}
+    chern = {name(i, j): Fraction(math.comb(a + 1, i) * math.comb(b + 1, j))
+             for i in range(a + 1) for j in range(b + 1)}
+    return ChowRing(
+        dim=a + b, basis=basis, products=products,
+        degree_values={name(a, b): Fraction(1)}, tangent_chern_coeffs=chern,
+        point=name(a, b), kind=("product", (a, b)),
+    )
+
+
+def ring_facts(ring):
+    return (ring.basis, ring.all_names, list(ring.products.items()),
+            ring.degree_values, ring.tangent_chern.coeffs, ring.point, ring.kind)
+
+
+def test_catalog_matches_the_per_kind_reference():
+    pairs = [(ring_point(), reference_point())]
+    pairs += [(ring_projective(n), reference_projective(n)) for n in range(9)]
+    pairs += [(ring_product(ring_projective(a), ring_projective(b)),
+               reference_ring_product(a, b))
+              for a in range(6) for b in range(6)]
+    assert len(pairs) == 46
+    for ring, reference in pairs:
+        assert ring_facts(ring) == ring_facts(reference)
