@@ -100,14 +100,16 @@ def manifest(c: ChowClass, chain) -> ChowClass:
 
 
 def log_chern(config: NCConfig) -> ChowClass:
-    """c(TV) divided by the product of (1 + E_j) over the components."""
+    """c(TV) divided by the product of (1 + E_j) over the components:
+    c + 1 class products and one inverse."""
     # configurations never change after construction, so the class is
     # computed once and kept on the configuration
     if config._log_chern is None:
-        total = config.ring.require_tangent_chern()
+        one = config.ring.one()
+        product = one
         for comp in config.components:
-            total = total * (config.ring.one() + comp.divisor).inverse()
-        config._log_chern = total
+            product = product * (one + comp.divisor)
+        config._log_chern = config.ring.require_tangent_chern() * product.inverse()
     return config._log_chern
 
 
@@ -123,7 +125,9 @@ def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
 
     With F_i = 1 + E_i/(1+m_i), the whole selection is the product of
     all F_i, and closed(L) is the product of F_i over i outside L times
-    (the product over L, minus 1): c + 1 class products in all. An
+    (the product over L, minus 1): c + 1 class products in all. A
+    constant multiplicity gives a Fraction weight, so with constant
+    multiplicities these products stay in integer form. An
     explicit selection costs one integer class product E_I per listed
     index set, and then one `stratum_sum` per basis name over the
     constant coefficients of the E_I; sets with more members than the
@@ -135,7 +139,11 @@ def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
     def factors(names):
         total = ring.one()
         for name in names:
-            weight = RF_ONE / (RF_ONE + config.mult_of(name))
+            mult = config.mult_of(name)
+            if mult.is_constant():
+                weight = 1 / (1 + mult.as_fraction())
+            else:
+                weight = RF_ONE / (RF_ONE + mult)
             total = total * (ring.one() + config.divisor_of(name).scale(weight))
         return total
 

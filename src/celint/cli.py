@@ -12,7 +12,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import celestial, verify
+from . import celestial
 from .errors import CelintError, SchemaError
 from .exactnum import RationalFunction
 from .model import LoadedModel, StratumSelection, load_model
@@ -213,6 +213,9 @@ def _cmd_stringy(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the suites and their ring pool load only for this verb
+    from . import verify
+
     if args.suite == "all":
         names = sorted(verify.SUITES)
     else:

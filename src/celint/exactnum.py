@@ -14,7 +14,8 @@ takes a numerator and denominator that are already coprime, with the
 denominator monic (or the numerator zero and the denominator 1). A
 monic constant denominator is 1, which is coprime to every numerator,
 so sums and products of two polynomial values, negations and
-nonnegative powers are built through it without a gcd.
+nonnegative powers are built through it without a gcd. A quotient of
+two constants is taken in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -354,6 +355,8 @@ class RationalFunction:
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
+        if self.is_constant() and other.is_constant():
+            return RationalFunction.constant(self.as_fraction() / other.as_fraction())
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int) -> "RationalFunction":
@@ -392,6 +395,8 @@ class RationalFunction:
     def render(self, var: str = "m") -> str:
         if self.is_zero():
             return "0"
+        if self.is_constant():
+            return _fraction_str(self.num.coeffs[0])
         n, d = self._integer_cleared()
         nstr = n.render(var)
         if d == ONE_POLY:

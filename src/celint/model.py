@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     UndefinedMultiplicity,
     UniverseMismatch,
+    ZeroDenominator,
 )
 from .exactnum import (
     ONE_POLY,
@@ -52,7 +53,8 @@ class Component(namedtuple(
 
 
 def _check_mult(name: str, mult: RationalFunction):
-    if (rf(1) + mult).is_zero():
+    # values are canonical, so a multiplicity identically -1 is a constant
+    if mult.is_constant() and mult.as_fraction() == -1:
         raise UndefinedMultiplicity(
             f"component {name!r} has multiplicity identically -1"
         )
@@ -317,12 +319,27 @@ def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
 
     With m_i = n_i/d_i, x_i is d_i/(d_i+n_i) (or -n_i/(d_i+n_i)). The sum
     is built over the product of the d_i+n_i of the names that occur, with
-    polynomial arithmetic only, and reduced once at the end. An index set
-    may occur more than once.
+    polynomial arithmetic only, and reduced once at the end. When every
+    multiplicity that occurs is a constant, the sum is taken in Fractions.
+    An index set may occur more than once.
     """
     terms = [(frozenset(index), as_fraction(c)) for index, c in terms if c]
+    names = sorted(set().union(*(index for index, _ in terms)))
+    if all(mults[name].is_constant() for name in names):
+        weights = {}
+        for name in names:
+            q = mults[name].as_fraction()
+            if q == -1:
+                raise ZeroDenominator("rational function with zero denominator")
+            weights[name] = (-q if less_one else 1) / (1 + q)
+        total = Fraction(0)
+        for index, c in terms:
+            for name in index:
+                c *= weights[name]
+            total += c
+        return RationalFunction.constant(total)
     factors = []
-    for name in sorted(set().union(*(index for index, _ in terms))):
+    for name in names:
         n, d = mults[name].num, mults[name].den
         factors.append((name, -n if less_one else d, d + n))
     num = ZERO_POLY

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,13 @@ from celint.celestial import (
     zeta_class,
     zeta_degree,
 )
-from celint.chow import ChowClass, parse_class, ring_blowup_point, ring_projective
+from celint.chow import (
+    ChowClass,
+    parse_class,
+    ring_blowup_point,
+    ring_product,
+    ring_projective,
+)
 from celint.errors import (
     MissingDecomposition,
     NotADivisor,
@@ -36,7 +43,7 @@ from celint.errors import (
     SchemaError,
     UniverseMismatch,
 )
-from celint.exactnum import rf
+from celint.exactnum import Polynomial, RationalFunction, rf
 from celint.exprparse import parse_rf
 from celint.model import (
     Component,
@@ -190,6 +197,30 @@ def alternate_configs(draw):
         comps.append(Component(f"E{i}", parse_rf(draw(st.sampled_from(texts))),
                                divisor))
     return NCConfig(ring, comps)
+
+
+def per_component_log_chern(config):
+    """c(TV) times the inverse of each (1 + E_j) in turn."""
+    ring = config.ring
+    total = ring.require_tangent_chern()
+    for comp in config.components:
+        total = total * (ring.one() + comp.divisor).inverse()
+    return total
+
+
+@pytest.mark.parametrize(
+    "ring", ALTERNATE_RINGS + [ring_product(ring_projective(1), P2)],
+    ids=("P2", "BlP2", "P3", "P1xP2"))
+def test_log_chern_matches_per_component_inverses(ring):
+    rng = random.Random(ring.dim * 10 + len(ring.basis[1]))
+    for count in range(9):
+        comps = [
+            Component(f"E{i}", rf(0), ChowClass(ring, {
+                name: rf(rng.randint(-3, 3)) for name in ring.basis[1]}))
+            for i in range(count)
+        ]
+        config = NCConfig(ring, comps)
+        assert log_chern(config) == per_component_log_chern(config)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -681,6 +712,40 @@ def test_explicit_selection_with_large_multiplicities_is_fast():
     special = NCConfig(P2, [Component(name, rf(mults[name].evaluate(at)), h)
                             for name in names])
     assert value.evaluate(at) == integrate_class(special, selection)
+
+
+def test_constant_multiplicities_never_enter_q_m(monkeypatch):
+    # P^2, four components with constant multiplicities: whole, closed
+    # and explicit selections integrate and render in integer-form
+    # classes and Fractions only
+    h = P2.basis_class("h")
+    names = ("A", "B", "C", "D")
+    mults = (rf(0), rf(Fraction(1, 2)), rf(2), rf(Fraction(-1, 3)))
+    config = NCConfig(P2, [
+        Component(name, mult, h.scale(rf(1 + i % 2)))
+        for i, (name, mult) in enumerate(zip(names, mults))
+    ])
+    selections = [
+        StratumSelection.whole(names),
+        StratumSelection.from_closed(names, ("A", "C")),
+        StratumSelection.from_strata(
+            names, [(), ("A",), ("B", "D"), ("A", "B", "C")]),
+    ]
+    calls = {}
+    for owner, attr in ((Polynomial, "__mul__"), (Polynomial, "__add__"),
+                        (RationalFunction, "__init__")):
+        key = f"{owner.__name__}.{attr}"
+        calls[key] = 0
+
+        def counted(*args, _real=getattr(owner, attr), _key=key, **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    rendered = [integrate_class(config, sel).render() for sel in selections]
+    assert calls == dict.fromkeys(calls, 0)
+    assert rendered == ["[V] + (8/3)*h + (10/9)*h^2", "(4/3)*h + (19/9)*h^2",
+                        "[V] - 2*h + 9*h^2"]
 
 
 def truncated_product(factors, dim):

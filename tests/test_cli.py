@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +326,19 @@ def test_verify_text_and_json(capsys):
     assert payload["seed"] == 7
     assert payload["suites"]["key"]["checks"] == 2
     assert payload["suites"]["key"]["passed"] == 2
+
+
+def test_cli_loads_verify_only_for_its_verb():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        "import sys, celint.cli\n"
+        "assert 'celint.verify' not in sys.modules, 'celint.cli loaded verify'\n"
+        "from celint import verify\n"
+        "assert verify.run_suite('key', 1, 5)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_unknown_suite(capsys):

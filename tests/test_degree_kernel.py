@@ -17,7 +17,7 @@ from itertools import chain, combinations
 import pytest
 
 from celint.celestial import integrate_degree, ix_function, zeta_degree
-from celint.errors import RegimeWarning
+from celint.errors import RegimeWarning, ZeroDenominator
 from celint.exactnum import RF_M, rational_poles, rf
 from celint.exprparse import parse_rf
 from celint.model import DegreeConfig, FiberedConfig, StratumSelection, stratum_sum
@@ -28,8 +28,10 @@ from conftest import time_limit
 # 1 + (m^2 + 3*m + 1) = (m + 1)(m + 2) is a reducible non-linear factor
 PARSED = ("1/(1+m^2)", "m^2+1", "m^2 + 3*m + 1", "1/m", "(m - 2)/(m + 3)")
 DECOMPOSED = ((0, 0), (0, 2), (0, -2), (0, Fraction(-3, 2)), (0, Fraction(1, 2)),
+              (0, Fraction(1, 3)), (0, 10**18 + 7),
               (1, 0), (1, 1), (2, 1), (3, -2), (-1, 4), (Fraction(1, 2), 0),
               (6, 4), (2, 10**6 + 2))
+CONSTANT = tuple(pair for pair in DECOMPOSED if pair[0] == 0)
 
 
 def all_subsets(names):
@@ -67,14 +69,15 @@ def reference_value_at(fibered, label, selection):
     )
 
 
-def draw_mults(rng, names, parsed):
-    """Multiplicities and the a*m + k decompositions of the linear ones."""
+def draw_mults(rng, names, parsed, constant=False):
+    """Multiplicities and the a*m + k decompositions of the linear ones;
+    only constants when constant is set, so the kernel sums in Fractions."""
     mults, decompositions = {}, {}
     for name in names:
         if parsed and rng.random() < 0.3:
             mults[name] = parse_rf(rng.choice(PARSED))
         else:
-            a, k = rng.choice(DECOMPOSED)
+            a, k = rng.choice(CONSTANT if constant else DECOMPOSED)
             mults[name] = rf(a) * RF_M + rf(k)
             decompositions[name] = (Fraction(a), Fraction(k))
     return mults, decompositions
@@ -101,11 +104,13 @@ def draw_table(rng, names):
     return table
 
 
-@pytest.mark.parametrize("seed", range(40))
+# seeds from 40 on draw constant multiplicities only
+@pytest.mark.parametrize("seed", range(60))
 def test_integrate_degree_matches_pairwise_sums(seed):
     rng = random.Random(seed)
     names = tuple(f"E{i}" for i in range(rng.randint(0, 6)))
-    mults, decompositions = draw_mults(rng, names, parsed=seed % 2 == 0)
+    mults, decompositions = draw_mults(
+        rng, names, parsed=seed % 2 == 0 and seed < 40, constant=seed >= 40)
     config = DegreeConfig(names, mults, draw_table(rng, names), dim=2,
                           decompositions=decompositions)
     with warnings.catch_warnings():
@@ -119,11 +124,12 @@ def test_integrate_degree_matches_pairwise_sums(seed):
                 assert report == rational_poles(want)
 
 
-@pytest.mark.parametrize("seed", range(20))
+# seeds from 20 on draw constant multiplicities only
+@pytest.mark.parametrize("seed", range(30))
 def test_fibered_values_match_pairwise_sums(seed):
     rng = random.Random(1000 + seed)
     names = tuple(f"D{i}" for i in range(rng.randint(0, 5)))
-    mults, _ = draw_mults(rng, names, parsed=True)
+    mults, _ = draw_mults(rng, names, parsed=seed < 20, constant=seed >= 20)
     subsets = all_subsets(names)
     fiber = {
         (label, key): Fraction(rng.randint(-4, 4), rng.choice((1, 3)))
@@ -211,3 +217,24 @@ def test_kernel_sums_repeated_index_sets():
                        less_one=True) == rf(1) / (rf(1) + RF_M) - rf(2)
     assert stratum_sum([(frozenset("A"), 1), (frozenset("A"), -1)], mults) == rf(0)
     assert stratum_sum([], mults) == rf(0)
+    # with constant multiplicities only, the kernel sums in Fractions
+    constant = {"A": rf(-2), "B": rf(Fraction(-3, 2)), "C": rf(Fraction(1, 3)),
+                "D": rf(10**18 + 7)}
+    listed = [(frozenset("A"), 2), (frozenset("AB"), Fraction(1, 3)),
+              (frozenset("A"), -1), (frozenset(), 5), (frozenset("BCD"), 7),
+              (frozenset("CD"), Fraction(-5, 2))]
+    merged = [(frozenset("A"), 1)] + listed[1:2] + listed[3:]
+    assert stratum_sum(listed, constant) == reference_stratum_sum(
+        StratumSelection.whole("ABCD"), constant, merged)
+    # x - 1 = -m/(1+m) = -2 at m = -2, and 1/(10^18 + 8) - 1 at D
+    assert stratum_sum([(frozenset("A"), 3), (frozenset("D"), 1)], constant,
+                       less_one=True) == rf(-6) + rf(Fraction(1, 10**18 + 8)) - rf(1)
+
+
+@pytest.mark.parametrize("less_one", [False, True])
+def test_kernel_rejects_a_multiplicity_of_minus_one(less_one):
+    # 1 + m vanishes, on the Fraction path and on the Q(m) path alike
+    for other in (rf(2), RF_M):
+        mults = {"A": rf(-1), "B": other}
+        with pytest.raises(ZeroDenominator):
+            stratum_sum([(frozenset("AB"), 1)], mults, less_one=less_one)

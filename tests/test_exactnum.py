@@ -293,12 +293,17 @@ def test_fast_paths_match_the_full_constructor(f, g, c):
     }
     if c != 0:
         results["quotient"] = (f / rf(c), reference(f.num, f.den.scale(c)))
+        results["constant quotient"] = (
+            rf(c + 1) / rf(c), reference(Polynomial([c + 1]), Polynomial([c])))
     if not g.is_zero():
         results["division"] = (f / g, reference(f.num * g.den, f.den * g.num))
     for name, (fast, full) in results.items():
         assert fast == full, name
         assert hash(fast) == hash(full), name
         assert_canonical(fast)
+    # a constant renders as the constant polynomial does
+    assert rf(c).render() == Polynomial([c]).render()
+    assert rf(c).render("t") == str(c)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
