@@ -1,83 +1,14 @@
-"""Exact intersection-theoretic integrals on normal-crossing resolution data."""
+"""Exact intersection-theoretic integrals on normal-crossing resolution data.
 
-from .errors import (
-    CelintError,
-    DivisionByZero,
-    IndeterminateError,
-    MissingDecomposition,
-    MissingTangentClass,
-    NormalCrossingViolation,
-    NotADivisor,
-    NotLogTerminal,
-    ParseError,
-    PoleError,
-    PreconditionViolated,
-    PresentationError,
-    RegimeWarning,
-    RingMismatch,
-    SchemaError,
-    UndefinedMultiplicity,
-    UniverseMismatch,
-    UnsupportedCatalog,
-    ZeroDenominator,
-)
-from .exactnum import (
-    PoleReport,
-    Polynomial,
-    RationalFunction,
-    evaluate,
-    make_rational_function,
-    rational_poles,
-    rf,
-)
-from .exprparse import parse_expression, parse_rf
-from .chow import (
-    ChowClass,
-    ChowRing,
-    PushForwardMap,
-    degree_of_class,
-    identity_map,
-    parse_class,
-    proper_transform,
-    ring_blowup_point,
-    ring_literal,
-    ring_point,
-    ring_product,
-    ring_projective,
-)
-from .model import (
-    BlowupStep,
-    Component,
-    DegreeConfig,
-    FiberedConfig,
-    NCConfig,
-    StratumSelection,
-    blowup_transport,
-    blowup_transport_degree,
-    chi_closed_from_open,
-    chi_open,
-    load_model,
-    load_ring,
-    load_selection,
-)
-from .celestial import (
-    ConstructibleFunction,
-    alternate_form2,
-    alternate_form3,
-    csm_set,
-    csm_stratum,
-    divisor_action,
-    integrate_class,
-    integrate_degree,
-    ix_function,
-    log_chern,
-    manifest,
-    selection_class,
-    stringy_class,
-    stringy_hypersurface,
-    zeta,
-    zeta_class,
-    zeta_degree,
-)
+Each name has one home: callers import the submodules (`celint.chow`,
+`celint.model`, `celint.celestial`, ...), and the package root
+re-exports nothing.
+"""
+
+# `chow` imports `catalog` at its end, and `model` imports `modelfile`
+# at its end. Loading both with the package lets `celint.catalog` or
+# `celint.modelfile` be the first module a program imports; without
+# this, that first import is circular and fails.
+from . import chow, model  # noqa: F401
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ from .model import (
     NCConfig,
     StratumSelection,
     stratum_sum,
+    weight,
 )
 
 
@@ -105,12 +106,19 @@ def log_chern(config: NCConfig) -> ChowClass:
     # configurations never change after construction, so the class is
     # computed once and kept on the configuration
     if config._log_chern is None:
-        one = config.ring.one()
-        product = one
-        for comp in config.components:
-            product = product * (one + comp.divisor)
+        product = _one_plus_product(
+            config.ring, (comp.divisor for comp in config.components))
         config._log_chern = config.ring.require_tangent_chern() * product.inverse()
     return config._log_chern
+
+
+def _one_plus_product(ring, classes) -> ChowClass:
+    """The product of 1 + x over the classes x of ring."""
+    one = ring.one()
+    total = one
+    for x in classes:
+        total = total * (one + x)
+    return total
 
 
 def _selection_for(config, selection) -> StratumSelection:
@@ -137,15 +145,9 @@ def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
     ring = config.ring
 
     def factors(names):
-        total = ring.one()
-        for name in names:
-            mult = config.mult_of(name)
-            if mult.is_constant():
-                weight = 1 / (1 + mult.as_fraction())
-            else:
-                weight = RF_ONE / (RF_ONE + mult)
-            total = total * (ring.one() + config.divisor_of(name).scale(weight))
-        return total
+        return _one_plus_product(ring, (
+            config.divisor_of(name).scale(weight(config.mult_of(name)))
+            for name in names))
 
     if selection.kind == "whole":
         return factors(config.names)

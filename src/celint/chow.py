@@ -20,7 +20,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,13 +33,16 @@ from .errors import (
     UnsupportedCatalog,
 )
 from .exactnum import (
+    RF_M,
     RF_ONE,
     RF_ZERO,
     RationalFunction,
     as_fraction,
+    join_terms,
+    power,
     rf,
 )
-from .exprparse import parse_expression
+from .exprparse import Operators, parse_expression
 
 _set = object.__setattr__
 
@@ -390,14 +392,7 @@ class ChowClass:
     def __pow__(self, k: int) -> "ChowClass":
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.ring.one())
 
     def _select(self, keep) -> "ChowClass":
         """The part of this class on the basis names whose codimension
@@ -482,11 +477,7 @@ class ChowClass:
         else:
             coeffs = self._coeffs
             pieces = [_render_term(coeffs[n], n) for n in names if n in coeffs]
-        neg, body = pieces[0]
-        out = ("-" if neg else "") + body
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return join_terms(pieces)
 
     def __str__(self):
         return self.render()
@@ -676,7 +667,7 @@ def identity_map(ring: ChowRing) -> PushForwardMap:
     return PushForwardMap(ring, ring, ident, dict(ident), label="id")
 
 
-class _ClassAlgebra:
+class _ClassAlgebra(Operators):
     """Full expression algebra over one ring: names are basis elements or m."""
 
     def __init__(self, ring: ChowRing):
@@ -687,19 +678,10 @@ class _ClassAlgebra:
 
     def name(self, name: str) -> ChowClass:
         if name == "m" and "m" not in self.ring.codim_of:
-            from .exactnum import RF_M
-
             return self.ring.one().scale(RF_M)
         if name in self.ring.codim_of:
             return self.ring.basis_class(name)
         raise ParseError(f"unknown name {name!r} in class expression")
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    div = staticmethod(operator.truediv)
-    neg = staticmethod(operator.neg)
-    pow = staticmethod(operator.pow)
 
 
 def parse_class(text: str, ring: ChowRing) -> ChowClass:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import celestial
 from .errors import CelintError, SchemaError
 from .exactnum import RationalFunction
-from .model import LoadedModel, StratumSelection, load_model
+from .model import LoadedModel, StratumSelection, load_model, load_selection
 
 
 def _load_file(path: str) -> LoadedModel:
@@ -40,17 +40,13 @@ def _eval_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational value {text[2:]!r}")
 
 
-def _selection_override(text: str, names) -> StratumSelection:
-    if text == "whole":
-        return StratumSelection.whole(names)
-    if text == "empty":
-        return StratumSelection.empty(names)
+def _selection_object(text: str) -> dict:
+    """--selection text in the object form of a model file's selection."""
+    if text in ("whole", "empty"):
+        return {text: True}
     if text.startswith("closed:"):
         rest = text[len("closed:"):]
-        members = [part.strip() for part in rest.split(",") if part.strip()]
-        if not members:
-            raise SchemaError("closed: needs at least one component name")
-        return StratumSelection.from_closed(names, members)
+        return {"closed": [part.strip() for part in rest.split(",") if part.strip()]}
     if text.startswith("strata:"):
         rest = text[len("strata:"):]
         strata = []
@@ -58,26 +54,26 @@ def _selection_override(text: str, names) -> StratumSelection:
             for group in rest.split(";"):
                 group = group.strip()
                 if group == "()":
-                    strata.append(frozenset())
+                    strata.append([])
                 elif group:
-                    strata.append(frozenset(
+                    strata.append([
                         part.strip() for part in group.split(",") if part.strip()
-                    ))
+                    ])
                 else:
                     raise SchemaError(
                         "empty stratum group; use () for the empty index set"
                     )
-        return StratumSelection.from_strata(names, strata)
+        return {"strata": strata}
     raise SchemaError(
         f"unknown selection {text!r}; use whole, empty, closed:A,B or strata:A,B;()"
     )
 
 
 def _pick_selection(model: LoadedModel, args) -> StratumSelection:
-    names = tuple(c.name for c in model.components)
     override = getattr(args, "selection", None)
     if override:
-        return _selection_override(override, names)
+        names = tuple(c.name for c in model.components)
+        return load_selection(_selection_object(override), names, "--selection")
     return model.selection
 
 
@@ -156,11 +152,15 @@ def _cmd_ring(args) -> int:
     return 0
 
 
-def _cmd_integrate(args) -> int:
+def _cmd_class(args) -> int:
+    """integrate, class-level zeta, csm and stringy: the model's class
+    data, selection and chain are read before the verb's `compute` runs,
+    and its class is pushed through the chain."""
     model = _load_file(args.file)
     config = _require(model.config, "ring/class data")
-    cls = celestial.integrate_class(config, _pick_selection(model, args))
-    cls = celestial.manifest(cls, _pick_chain(model, args))
+    selection = _pick_selection(model, args)
+    chain = _pick_chain(model, args)
+    cls = celestial.manifest(args.compute(config, selection), chain)
     return _emit_class(cls, args)
 
 
@@ -172,24 +172,12 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    if not args.degree:
+        return _cmd_class(args)
     model = _load_file(args.file)
-    if args.degree:
-        data = _require(model.degree_data, "chi_closed table")
-        value, poles = celestial.zeta_degree(data, _pick_selection(model, args))
-        return _emit_value(value, args, extra={"poles": poles.render()})
-    config = _require(model.config, "ring/class data")
-    cls = celestial.zeta_class(config, _pick_selection(model, args))
-    cls = celestial.manifest(cls, _pick_chain(model, args))
-    return _emit_class(cls, args)
-
-
-def _cmd_csm(args) -> int:
-    model = _load_file(args.file)
-    config = _require(model.config, "ring/class data")
-    cls = celestial.csm_set(
-        config, _pick_selection(model, args), _pick_chain(model, args)
-    )
-    return _emit_class(cls, args)
+    data = _require(model.degree_data, "chi_closed table")
+    value, poles = celestial.zeta_degree(data, _pick_selection(model, args))
+    return _emit_value(value, args, extra={"poles": poles.render()})
 
 
 def _cmd_ix(args) -> int:
@@ -203,13 +191,6 @@ def _cmd_ix(args) -> int:
         for label, text in entries:
             print(f"{label}: {text}")
     return 0
-
-
-def _cmd_stringy(args) -> int:
-    model = _load_file(args.file)
-    config = _require(model.config, "ring/class data")
-    cls = celestial.stringy_class(config, _pick_chain(model, args))
-    return _emit_class(cls, args)
 
 
 def _cmd_verify(args) -> int:
@@ -291,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_int = sub.add_parser("integrate", help="class-level integral")
     add_common(p_int)
-    p_int.set_defaults(func=_cmd_integrate)
+    p_int.set_defaults(func=_cmd_class, compute=celestial.integrate_class)
 
     p_deg = sub.add_parser("degree", help="degree-level integral from chi tables")
     add_common(p_deg, chain=False)
@@ -303,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--degree", action="store_true",
         help="degree-level zeta with a pole report",
     )
-    p_zeta.set_defaults(func=_cmd_zeta)
+    p_zeta.set_defaults(func=_cmd_zeta, compute=celestial.zeta_class)
 
     p_csm = sub.add_parser("csm", help="CSM class of the selected set")
     add_common(p_csm, eval_opt=False)
-    p_csm.set_defaults(func=_cmd_csm)
+    p_csm.set_defaults(func=_cmd_class, compute=celestial.csm_set)
 
     p_ix = sub.add_parser("ix", help="stratumwise constructible function")
     add_common(p_ix, chain=False)
@@ -315,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_str = sub.add_parser("stringy", help="stringy class from discrepancy data")
     add_common(p_str, selection=False)
-    p_str.set_defaults(func=_cmd_stringy)
+    p_str.set_defaults(
+        func=_cmd_class, compute=lambda config, _: celestial.stringy_class(config))
 
     p_ver = sub.add_parser("verify", help="run a randomized identity suite")
     p_ver.add_argument("suite", help="suite name or all")

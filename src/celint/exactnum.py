@@ -44,6 +44,27 @@ def _fraction_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+def power(base, k: int, one):
+    """base**k for an int k >= 0 by repeated squaring; one is base**0."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def join_terms(pieces) -> str:
+    """A signed sum from its (negated, body) terms: `a - b + c`."""
+    neg, body = pieces[0]
+    out = ("-" if neg else "") + body
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
 _set = object.__setattr__
 _ZERO = Fraction(0)
 
@@ -132,14 +153,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = ONE_POLY
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, ONE_POLY)
 
     def divmod(self, other: "Polynomial"):
         if other.is_zero():
@@ -225,11 +239,7 @@ class Polynomial:
                 v = var if k == 1 else f"{var}^{k}"
                 body = v if abs(c) == 1 else f"{_fraction_str(abs(c))}*{v}"
             pieces.append((c < 0, body))
-        neg, body = pieces[0]
-        out = ("-" if neg else "") + body
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return join_terms(pieces)
 
     def __str__(self):
         return self.render()

@@ -31,6 +31,7 @@ well inside the interpreter's recursion limit.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import ParseError
@@ -202,7 +203,19 @@ def parse_expression(text: str, algebra):
     return _Parser(text, algebra).parse()
 
 
-class RFAlgebra:
+class Operators:
+    """The operations of an algebra whose values take Python's arithmetic
+    operators; an algebra adds `const` and `name`."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
+    pow = staticmethod(operator.pow)
+
+
+class RFAlgebra(Operators):
     """Algebra of rational functions in m; the only legal name is m itself."""
 
     @staticmethod
@@ -216,30 +229,10 @@ class RFAlgebra:
         return RF_M
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
     def div(a, b):
         if b.is_zero():
             raise ParseError("division by zero in expression")
         return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow(a, k: int):
-        return a**k
 
 
 def parse_rf(text: str) -> RationalFunction:

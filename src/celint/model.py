@@ -31,6 +31,7 @@ from .errors import (
 from .exactnum import (
     ONE_POLY,
     RF_M,
+    RF_ONE,
     ZERO_POLY,
     Polynomial,
     RationalFunction,
@@ -313,45 +314,56 @@ def _classify(count: int, strata: frozenset):
     return "explicit", frozenset()
 
 
+def weight(mult: RationalFunction):
+    """The weight 1/(1+m) of a multiplicity m: a Fraction when m is a
+    constant, where m = -1 raises ZeroDenominator, else a RationalFunction."""
+    if mult.is_constant():
+        q = mult.as_fraction()
+        if q == -1:
+            raise ZeroDenominator("rational function with zero denominator")
+        return 1 / (1 + q)
+    return RF_ONE / (RF_ONE + mult)
+
+
 def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
     """Sum of c * prod_{i in I} x_i over the (I, c) in terms, with
     x_i = 1/(1+m_i), or x_i = 1/(1+m_i) - 1 = -m_i/(1+m_i) when less_one.
 
-    With m_i = n_i/d_i, x_i is d_i/(d_i+n_i) (or -n_i/(d_i+n_i)). The sum
-    is built over the product of the d_i+n_i of the names that occur, with
-    polynomial arithmetic only, and reduced once at the end. When every
-    multiplicity that occurs is a constant, the sum is taken in Fractions.
-    An index set may occur more than once.
+    A constant x_i is a Fraction, folded into the coefficient c. For an
+    m-dependent m_i = n_i/d_i, x_i is d_i/(d_i+n_i) (or -n_i/(d_i+n_i)):
+    the sum is built over the product of the d_i+n_i of those names, with
+    polynomial arithmetic only, and reduced once at the end. When no
+    name that occurs depends on m, the sum stays in Fractions. An index
+    set may occur more than once.
     """
     terms = [(frozenset(index), as_fraction(c)) for index, c in terms if c]
     names = sorted(set().union(*(index for index, _ in terms)))
-    if all(mults[name].is_constant() for name in names):
-        weights = {}
-        for name in names:
-            q = mults[name].as_fraction()
-            if q == -1:
-                raise ZeroDenominator("rational function with zero denominator")
-            weights[name] = (-q if less_one else 1) / (1 + q)
-        total = Fraction(0)
-        for index, c in terms:
-            for name in index:
-                c *= weights[name]
-            total += c
-        return RationalFunction.constant(total)
+    weights = {}
     factors = []
     for name in names:
-        n, d = mults[name].num, mults[name].den
-        factors.append((name, -n if less_one else d, d + n))
-    num = ZERO_POLY
+        mult = mults[name]
+        if mult.is_constant():
+            weights[name] = weight(mult) - 1 if less_one else weight(mult)
+        else:
+            n, d = mult.num, mult.den
+            factors.append((name, -n if less_one else d, d + n))
+    total = ZERO_POLY if factors else Fraction(0)
     for index, c in terms:
-        term = Polynomial._make([c])
-        for name, p, q in factors:
-            term = term * (p if name in index else q)
-        num = num + term
+        if weights:
+            for name in index:
+                if name in weights:
+                    c *= weights[name]
+        if factors:
+            c = Polynomial._make([c])
+            for name, p, q in factors:
+                c = c * (p if name in index else q)
+        total = total + c
+    if not factors:
+        return RationalFunction.constant(total)
     den = ONE_POLY
     for _, _, q in factors:
         den = den * q
-    return RationalFunction(num, den)
+    return RationalFunction(total, den)
 
 
 def chi_open(chi_closed: dict, index: frozenset) -> Fraction:

@@ -29,7 +29,13 @@ from .chow import (
     ring_product,
     ring_projective,
 )
-from .errors import CelintError, ParseError, PresentationError, SchemaError
+from .errors import (
+    CelintError,
+    DivisionByZero,
+    ParseError,
+    PresentationError,
+    SchemaError,
+)
 from .exactnum import RF_M, rf
 from .exprparse import parse_expression, parse_rf
 from .model import (
@@ -142,6 +148,17 @@ def read_expression(value, path: str, error=SchemaError) -> str:
     if not isinstance(value, str):
         _fault(value, path, "an expression (a string or an integer)", error)
     return value
+
+
+def read_class(value, path: str, ring: ChowRing):
+    """A class expression over ring. Malformed text is a ParseError; text
+    that names a value the ring cannot form, such as a quotient by a
+    class with no codimension-0 part, is a SchemaError naming the field."""
+    text = read_expression(value, path)
+    try:
+        return parse_class(text, ring)
+    except DivisionByZero as exc:
+        raise SchemaError(f"field {path} holds an invalid class: {exc}")
 
 
 def _check_basis_size(size: int, path: str):
@@ -385,7 +402,10 @@ def load_selection(obj, names, path: str = "") -> StratumSelection:
             _fault(obj[form], _at(path, form), "true")
         return getattr(StratumSelection, form)(names)
     if keys == {"closed"}:
-        closed = read_names(obj["closed"], _at(path, "closed"))
+        at = _at(path, "closed")
+        closed = read_names(obj["closed"], at)
+        if not closed:
+            _fault(closed, at, "a nonempty list of names")
         return StratumSelection.from_closed(names, closed)
     if keys == {"strata"}:
         at = _at(path, "strata")
@@ -406,7 +426,7 @@ def load_component(obj, ring, path: str = "") -> Component:
             raise SchemaError(
                 f"component {name!r} has a class but the model has no ring"
             )
-        divisor = parse_class(read_expression(obj["class"], _at(path, "class")), ring)
+        divisor = read_class(obj["class"], _at(path, "class"), ring)
     elif ring is not None:
         raise SchemaError(f"component {name!r} is missing its class")
     return Component(name, mult, divisor, decomposition)
@@ -415,7 +435,7 @@ def load_component(obj, ring, path: str = "") -> Component:
 def _read_images(obj, path: str, ring: ChowRing) -> dict:
     """A forward or pullback table: basis names to class expressions."""
     return {
-        name: parse_class(read_expression(text, _at(path, name)), ring)
+        name: read_class(text, _at(path, name), ring)
         for name, text in read_object(obj, path, {}).items()
     }
 
@@ -468,10 +488,14 @@ def load_model(obj) -> LoadedModel:
     names = tuple(c.name for c in components)
     config = None if ring is None else NCConfig(ring, components)
     dim = obj.get("dim")
-    if ring is not None:
-        dim = ring.dim
-    elif dim is not None:
+    if dim is not None:
         dim = read_whole(dim, "dim", 0)
+    if ring is not None:
+        if dim is not None and dim != ring.dim:
+            raise SchemaError(
+                f"field dim is {dim}, but the ring has dimension {ring.dim}"
+            )
+        dim = ring.dim
     selection = load_selection(obj.get("selection"), names, "selection")
     mults = {c.name: c.mult for c in components}
     degree_data = None

@@ -341,6 +341,32 @@ def test_cli_loads_verify_only_for_its_verb():
     assert proc.returncode == 0, proc.stderr
 
 
+MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
+                 if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", f"import celint.{module}"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_root_re_exports_nothing():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        "import types, celint\n"
+        "names = [n for n in vars(celint) if not n.startswith('_')]\n"
+        "assert all(isinstance(getattr(celint, n), types.ModuleType)"
+        " for n in names), names\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus", "--instances", "1")
     assert code == 2
@@ -465,9 +491,10 @@ def test_literal_ring_of_the_malformed_cases_is_valid(tmp_path, capsys):
      "PresentationError", "field ring.presentation.degree "),
     ("cusp.json", ("components", 0, "class"), ["h"], "integrate",
      "SchemaError", "field components[0].class "),
+    ("cusp.json", ("dim",), "2", "integrate", "SchemaError", "field dim "),
 ], ids=["base-strata-string", "fiber-list", "ringless-dim-string",
         "closed-object", "strata-nested", "chi-string", "forward-string",
-        "literal-degree-string", "class-list"])
+        "literal-degree-string", "class-list", "ring-dim-string"])
 def test_wrong_typed_field_is_named_in_an_exit_two_error(
         tmp_path, capsys, name, path, value, verb, error, field):
     model = tmp_path / name
@@ -475,6 +502,78 @@ def test_wrong_typed_field_is_named_in_an_exit_two_error(
     code, out, err = run_cli(capsys, verb, model)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {error}: {field}must be ")
+
+
+@pytest.mark.parametrize("dim, code", [(2, 0), (7, 2)])
+def test_top_level_dim_must_equal_the_ring_dimension(tmp_path, capsys, dim, code):
+    model = tmp_path / "p2_line.json"
+    model.write_text(json.dumps({**read_fixture("p2_line.json"), "dim": dim}))
+    _, out, err = run_cli(capsys, "integrate", model)
+    if code == 0:
+        assert (out, err) == ("[V] + (5/2)*h + 2*h^2\n", "")
+    else:
+        assert (out, err) == (
+            "", "error: SchemaError: field dim is 7, but the ring has dimension 2\n")
+
+
+P2_IDENTITY = {
+    "target": {"catalog": "projective", "n": 2},
+    "forward": {"[V]": "[V]", "h": "h", "h^2": "h^2"},
+    "pullback": {"[V]": "[V]", "h": "h", "h^2": "h^2"},
+}
+
+
+@pytest.mark.parametrize("path, text, field", [
+    (("components", 0, "class"), "1/0", "components[0].class"),
+    (("components", 0, "class"), "h/h", "components[0].class"),
+    (("components", 0, "class"), "h^-1", "components[0].class"),
+    (("chains", "id", 0, "forward", "[V]"), "1/0", 'chains.id[0].forward["[V]"]'),
+], ids=["class-over-zero", "class-over-h", "class-negative-power",
+        "forward-over-zero"])
+def test_class_the_ring_cannot_form_is_named_in_an_exit_two_error(
+        tmp_path, capsys, path, text, field):
+    data = {**read_fixture("p2_line.json"), "chains": {"id": [P2_IDENTITY]}}
+    model = tmp_path / "p2_line.json"
+    model.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "integrate", model, "--manifest", "id")
+    assert (code, out) == (0, "[V] + (5/2)*h + 2*h^2\n")
+    model.write_text(json.dumps(mutate(data, path, text)))
+    code, out, err = run_cli(capsys, "integrate", model)
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: SchemaError: field {field} holds an invalid class: ")
+
+
+def test_closed_selection_of_no_names_is_an_exit_two_error(tmp_path, capsys):
+    model = tmp_path / "cusp.json"
+    model.write_text(json.dumps(
+        {**read_fixture("cusp.json"), "selection": {"closed": []}}))
+    code, out, err = run_cli(capsys, "integrate", model)
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: SchemaError: field selection.closed must be a nonempty list")
+    for text in ("closed:", "closed: , "):
+        code, out, err = run_cli(
+            capsys, "integrate", fixture("cusp.json"), "--selection", text)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: SchemaError: field --selection.closed must be a nonempty list")
+
+
+@pytest.mark.parametrize("verb", ["integrate", "zeta", "csm", "stringy"])
+def test_unknown_chain_is_reported_before_computing(tmp_path, capsys, verb):
+    # the ring carries no tangent Chern class, and the multiplicity no
+    # a*m + k pair, so each verb's computation would end in an exit-1 error
+    model = tmp_path / "literal.json"
+    model.write_text(json.dumps({
+        "ring": {"catalog": "literal", "presentation": LITERAL_P1},
+        "components": [{"name": "P", "class": "P", "mult": 1}],
+    }))
+    code, out, err = run_cli(capsys, verb, model)
+    assert (code, out) == (1, "")
+    code, out, err = run_cli(capsys, verb, model, "--manifest", "nope")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: SchemaError: unknown chain 'nope'")
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -18,7 +18,7 @@ import pytest
 
 from celint.celestial import integrate_degree, ix_function, zeta_degree
 from celint.errors import RegimeWarning, ZeroDenominator
-from celint.exactnum import RF_M, rational_poles, rf
+from celint.exactnum import RF_M, Polynomial, rational_poles, rf
 from celint.exprparse import parse_rf
 from celint.model import DegreeConfig, FiberedConfig, StratumSelection, stratum_sum
 
@@ -238,3 +238,38 @@ def test_kernel_rejects_a_multiplicity_of_minus_one(less_one):
         mults = {"A": rf(-1), "B": other}
         with pytest.raises(ZeroDenominator):
             stratum_sum([(frozenset("AB"), 1)], mults, less_one=less_one)
+
+
+def test_constant_weights_fold_into_the_coefficients(monkeypatch):
+    # four names, one of them m-linear: only its factor enters polynomial
+    # arithmetic, so a call makes one product per term and one for the
+    # denominator, and one sum per term and one for d + n
+    mults = {"A": rf(2), "B": rf(Fraction(1, 3)), "C": RF_M + rf(1),
+             "D": rf(Fraction(-5, 2))}
+    terms = [(frozenset(), Fraction(3)), (frozenset("A"), Fraction(1)),
+             (frozenset("AC"), Fraction(-2)), (frozenset("BCD"), Fraction(1, 2)),
+             (frozenset("C"), Fraction(4)), (frozenset("ABD"), Fraction(5))]
+    whole = StratumSelection.whole("ABCD")
+
+    def reference_less_one(terms):
+        total = rf(0)
+        for index, c in terms:
+            value = rf(c)
+            for name in index:
+                value = value * (rf(-1) * mults[name] / (rf(1) + mults[name]))
+            total = total + value
+        return total
+
+    want = [reference_stratum_sum(whole, mults, terms), reference_less_one(terms)]
+    calls = {"__mul__": 0, "__add__": 0}
+    for name in calls:
+        original = getattr(Polynomial, name)
+
+        def counting(self, other, original=original, name=name):
+            calls[name] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Polynomial, name, counting)
+    got = [stratum_sum(terms, mults), stratum_sum(terms, mults, less_one=True)]
+    assert calls == {"__mul__": 14, "__add__": 14}
+    assert got == want
