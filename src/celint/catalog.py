@@ -1,4 +1,4 @@
-"""Catalog and literal ring presentations.
+"""Catalog ring presentations.
 
 Catalog constructors build the point, projective spaces, binary
 products of projective spaces and iterated point blow-ups, with their
@@ -49,7 +49,6 @@ def _projective_product(dims, kind) -> ChowRing:
              for e in monomials}
     point = name[tuple(dims)]
     return ChowRing(
-        dim=sum(dims),
         basis=basis,
         products=products,
         degree_values={point: Fraction(1)},
@@ -142,7 +141,6 @@ def _blowup_point(base: ChowRing):
             else:
                 chern[base.point] = chern.get(base.point, Fraction(0)) + coeff * sign
     ring = ChowRing(
-        dim=n,
         basis=basis,
         products=products,
         degree_values=dict(base.degree_values),
@@ -163,13 +161,3 @@ def _blowup_point(base: ChowRing):
         meta={"exceptional": e},
     )
     return ring, blowdown, ring.basis_class(e)
-
-
-def ring_literal(spec: dict) -> ChowRing:
-    """Build a ring from a literal JSON presentation, validating every axiom.
-
-    `celint.modelfile` owns the file format and reads the presentation;
-    it builds on this module, so it is imported at call time."""
-    from .modelfile import ring_literal as read_literal
-
-    return read_literal(spec)

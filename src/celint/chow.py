@@ -6,7 +6,7 @@ Chern class and a designated point class. Catalog constructors cover
 projective spaces, binary products of projective spaces, and iterated
 point blow-ups; anything else enters through a literal presentation
 that is validated exhaustively before use. The constructors live in
-`celint.catalog` and are re-exported here.
+`celint.catalog`.
 
 Class coefficients live in Q(m), so one class value can carry a whole
 family of computations; evaluation at a rational m specializes it. A
@@ -80,10 +80,10 @@ class ChowRing:
         "table",
     )
 
-    def __init__(self, dim, basis, products, degree_values, tangent_chern_coeffs,
+    def __init__(self, basis, products, degree_values, tangent_chern_coeffs,
                  point, kind, meta=None):
-        self.dim = dim
         self.basis = tuple(tuple(level) for level in basis)
+        self.dim = len(self.basis) - 1
         self.codim_of = {}
         self.index_of = {}
         names = []
@@ -95,11 +95,7 @@ class ChowRing:
                 self.index_of[name] = len(names)
                 names.append(name)
         self.all_names = tuple(names)
-        if len(self.basis) != dim + 1:
-            raise PresentationError(
-                f"expected {dim + 1} graded pieces, found {len(self.basis)}"
-            )
-        if len(self.basis[0]) != 1:
+        if not self.basis or len(self.basis[0]) != 1:
             raise PresentationError(
                 "codimension 0 must hold exactly one basis element"
             )
@@ -704,18 +700,10 @@ def proper_transform(f: PushForwardMap, divisor: ChowClass,
     return f.pull(divisor) - e.scale(rf(center_multiplicity))
 
 
-def degree_of_class(c: ChowClass) -> RationalFunction:
-    return c.degree()
-
-
 # The constructors build on the classes above. They sit in a module of
 # their own so that no module is large: without a bytecode cache each
 # module is compiled from source, and compiling a large one holds more
-# memory at once than compiling it in two halves.
-from .catalog import (  # noqa: E402
-    ring_blowup_point,
-    ring_literal,
-    ring_point,
-    ring_product,
-    ring_projective,
-)
+# memory at once than compiling it in two halves. Callers import them
+# from `celint.catalog`; this name is kept here only because the
+# benchmark traces `celint.chow.ring_blowup_point`.
+from .catalog import ring_blowup_point  # noqa: E402,F401

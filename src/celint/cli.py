@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import celestial
 from .errors import CelintError, SchemaError
 from .exactnum import RationalFunction
-from .model import LoadedModel, StratumSelection, load_model, load_selection
+from .model import StratumSelection
+from .modelfile import LoadedModel, load_model, load_selection
 
 
 def _load_file(path: str) -> LoadedModel:
@@ -208,7 +209,7 @@ def _cmd_verify(args) -> int:
         names = [args.suite]
     if args.instances < 1:
         raise SchemaError(f"--instances must be at least 1, got {args.instances}")
-    seed = args.seed if args.seed is not None else verify.default_seed()
+    seed = args.seed if args.seed is not None else verify.DEFAULT_SEED
     summary = {}
     failed_total = 0
     for name in names:

@@ -92,10 +92,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((as_fraction(c),))
-
     @property
     def degree(self) -> int:
         # degree of the zero polynomial is reported as -1
@@ -226,7 +222,7 @@ class Polynomial:
             mult += 1
         return tuple(parts)
 
-    def render(self, var: str = "m") -> str:
+    def render(self) -> str:
         if self.is_zero():
             return "0"
         pieces = []
@@ -236,7 +232,7 @@ class Polynomial:
             if k == 0:
                 body = _fraction_str(abs(c))
             else:
-                v = var if k == 1 else f"{var}^{k}"
+                v = "m" if k == 1 else f"m^{k}"
                 body = v if abs(c) == 1 else f"{_fraction_str(abs(c))}*{v}"
             pieces.append((c < 0, body))
         return join_terms(pieces)
@@ -259,10 +255,6 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial = ONE_POLY):
-        if not isinstance(num, Polynomial):
-            num = Polynomial.constant(as_fraction(num))
-        if not isinstance(den, Polynomial):
-            den = Polynomial.constant(as_fraction(den))
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero():
@@ -402,18 +394,18 @@ class RationalFunction:
             d = d.scale(Fraction(1, g))
         return n, d
 
-    def render(self, var: str = "m") -> str:
+    def render(self) -> str:
         if self.is_zero():
             return "0"
         if self.is_constant():
             return _fraction_str(self.num.coeffs[0])
         n, d = self._integer_cleared()
-        nstr = n.render(var)
+        nstr = n.render()
         if d == ONE_POLY:
             return nstr
         if sum(1 for c in n.coeffs if c != 0) > 1:
             nstr = f"({nstr})"
-        dstr = d.render(var)
+        dstr = d.render()
         if any(ch in dstr for ch in "+-*"):
             dstr = f"({dstr})"
         return f"{nstr}/{dstr}"
@@ -437,14 +429,6 @@ def rf(c) -> RationalFunction:
     if isinstance(c, Polynomial):
         return RationalFunction(c)
     return RationalFunction.constant(c)
-
-
-def make_rational_function(num: Polynomial, den: Polynomial) -> RationalFunction:
-    return RationalFunction(num, den)
-
-
-def evaluate(f: RationalFunction, x) -> Fraction:
-    return f.evaluate(x)
 
 
 def _divisors(n: int):

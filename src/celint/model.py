@@ -6,8 +6,7 @@ I whose open strata E_I participate in an integral. Both kinds of data
 can be rewritten under a point blow-up without changing any invariant;
 the transports here implement that rewriting at class level and, for
 surfaces, at the level of Euler characteristic tables alone. Model
-files are read by `celint.modelfile`, whose loaders are re-exported
-here.
+files are read by `celint.modelfile`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .chow import ChowClass, ChowRing, ring_blowup_point
+from .catalog import ring_blowup_point
+from .chow import ChowClass, ChowRing
 from .errors import (
     NormalCrossingViolation,
     NotADivisor,
@@ -470,14 +470,6 @@ class FiberedConfig:
             self.mults,
         )
 
-    def total(self) -> RationalFunction:
-        """Pairing against the base Euler characteristics."""
-        return stratum_sum(
-            ((index, self.base_strata[label] * c)
-             for (label, index), c in self.fiber.items() if index in self.selection),
-            self.mults,
-        )
-
 
 class BlowupStep(namedtuple("BlowupStep", "contains new_name")):
     """Blow up a point lying on exactly the named components (a frozenset)."""
@@ -594,13 +586,8 @@ def blowup_transport_degree(config: DegreeConfig, selection: StratumSelection,
 
 
 # The loaders build on the classes above; see the note at the end of
-# celint.chow on why they sit in a module of their own.
-from .modelfile import (  # noqa: E402
-    LoadedModel,
-    load_chain,
-    load_component,
-    load_model,
-    load_mult,
-    load_ring,
-    load_selection,
-)
+# celint.chow on why they sit in a module of their own. Callers import
+# them from `celint.modelfile`; these two names are kept here only
+# because the benchmark reads `celint.model.load_ring` and traces
+# `celint.model.load_model`.
+from .modelfile import load_model, load_ring  # noqa: E402,F401

@@ -20,15 +20,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
-from .chow import (
-    ChowRing,
-    PushForwardMap,
-    parse_class,
-    ring_blowup_point,
-    ring_point,
-    ring_product,
-    ring_projective,
-)
+from .catalog import ring_blowup_point, ring_point, ring_product, ring_projective
+from .chow import ChowRing, PushForwardMap, parse_class
 from .errors import (
     CelintError,
     DivisionByZero,
@@ -170,11 +163,19 @@ def _check_basis_size(size: int, path: str):
         )
 
 
-def _key_to_index(key: str) -> frozenset:
+def _component(name: str, names, path: str) -> str:
+    """name, which the field at path gives and which must be a component."""
+    if name not in names:
+        raise SchemaError(f"field {path} names unknown component {name!r}")
+    return name
+
+
+def _read_key(key: str, names, path: str) -> frozenset:
+    """The index set of a table key: component names joined by commas."""
     key = key.strip()
     if not key:
         return frozenset()
-    return frozenset(part.strip() for part in key.split(","))
+    return frozenset(_component(part.strip(), names, path) for part in key.split(","))
 
 
 def load_mult(value, path: str = ""):
@@ -326,7 +327,7 @@ def _read_basis(spec: dict, path: str) -> list:
 
 def ring_literal(spec, path: str = "") -> ChowRing:
     """Build a ring from the literal presentation at path, validating
-    every axiom; `celint.catalog.ring_literal` is this with path "".
+    every axiom.
 
     The basis-size bound of model files is checked by load_ring, not
     here, so rings built in code may be larger.
@@ -375,12 +376,12 @@ def ring_literal(spec, path: str = "") -> ChowRing:
     }
     chern = spec.get("chern")
     if chern is not None:
-        chern = _parse_lincomb(
-            read_expression(chern, _at(path, "chern"), PresentationError),
-            fundamental,
-        )
+        at = _at(path, "chern")
+        chern = _parse_lincomb(read_expression(chern, at, PresentationError), fundamental)
+        for name in chern:
+            if name not in index:
+                raise PresentationError(f"field {at} names unknown element {name!r}")
     return ChowRing(
-        dim=dim,
         basis=basis,
         products=products,
         degree_values=degree,
@@ -394,6 +395,7 @@ def ring_literal(spec, path: str = "") -> ChowRing:
 def load_selection(obj, names, path: str = "") -> StratumSelection:
     if obj is None:
         return StratumSelection.whole(names)
+    known = frozenset(names)
     obj = read_object(obj, path)
     keys = set(obj)
     if keys in ({"whole"}, {"empty"}):
@@ -406,11 +408,13 @@ def load_selection(obj, names, path: str = "") -> StratumSelection:
         closed = read_names(obj["closed"], at)
         if not closed:
             _fault(closed, at, "a nonempty list of names")
-        return StratumSelection.from_closed(names, closed)
+        return StratumSelection.from_closed(names, [
+            _component(x, known, _at(at, i)) for i, x in enumerate(closed)])
     if keys == {"strata"}:
         at = _at(path, "strata")
         return StratumSelection.from_strata(names, [
-            frozenset(read_names(stratum, _at(at, i)))
+            frozenset(_component(x, known, _at(_at(at, i), j))
+                      for j, x in enumerate(read_names(stratum, _at(at, i))))
             for i, stratum in enumerate(read_list(obj["strata"], at))
         ])
     _fault(obj, path, "an object with exactly one of whole, empty, closed and strata")
@@ -486,6 +490,12 @@ def load_model(obj) -> LoadedModel:
         for i, c in enumerate(read_list(obj.get("components", []), "components"))
     )
     names = tuple(c.name for c in components)
+    known = set()
+    for i, name in enumerate(names):
+        if name in known:
+            raise SchemaError(f"field components[{i}].name repeats the component "
+                              f"name {name!r}")
+        known.add(name)
     config = None if ring is None else NCConfig(ring, components)
     dim = obj.get("dim")
     if dim is not None:
@@ -504,7 +514,7 @@ def load_model(obj) -> LoadedModel:
         degree_data = DegreeConfig(
             names,
             mults,
-            {_key_to_index(k): v for k, v in table.items()},
+            {_read_key(k, known, _at("chi_closed", k)): v for k, v in table.items()},
             dim=dim,
             decompositions={c.name: c.decomposition for c in components},
         )
@@ -513,8 +523,11 @@ def load_model(obj) -> LoadedModel:
         base = _read_table(obj.get("base_strata"), "base_strata")
         fiber = {}
         for label, row in read_object(obj.get("fiber"), "fiber").items():
-            for key, value in _read_table(row, _at("fiber", label)).items():
-                fiber[(label, _key_to_index(key))] = value
+            at = _at("fiber", label)
+            if label not in base:
+                raise SchemaError(f"field {at} names unknown base stratum {label!r}")
+            for key, value in _read_table(row, at).items():
+                fiber[(label, _read_key(key, known, _at(at, key)))] = value
         fibered = FiberedConfig(names, mults, selection, base, fiber)
     chains = {}
     for label, chain_obj in read_object(obj.get("chains"), "chains", {}).items():

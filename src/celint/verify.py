@@ -9,20 +9,21 @@ seeded generator, so every reported failure is reproducible.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
+from .catalog import ring_blowup_point, ring_product, ring_projective
 from .celestial import (
     alternate_form2,
     alternate_form3,
+    csm_stratum,
     integrate_class,
     integrate_degree,
     manifest,
 )
-from .chow import ChowClass, ChowRing, ring_blowup_point, ring_product, ring_projective
+from .chow import ChowClass, ChowRing
 from .errors import PreconditionViolated, RingMismatch
 from .exactnum import RF_M, RationalFunction, rf
 from .model import (
@@ -37,7 +38,6 @@ from .model import (
 )
 
 DEFAULT_SEED = 20260818
-SEED_ENV = "CELINT_SEED"
 
 
 class CheckReport(namedtuple("CheckReport", "name passed lhs rhs context")):
@@ -50,14 +50,8 @@ class CheckReport(namedtuple("CheckReport", "name passed lhs rhs context")):
         return f"[{status}] {self.name}: {self.context}"
 
 
-def _render(value) -> str:
-    if hasattr(value, "render"):
-        return value.render()
-    return str(value)
-
-
 def _compare(name, lhs, rhs, context) -> CheckReport:
-    ls, rs = _render(lhs), _render(rhs)
+    ls, rs = lhs.render(), rhs.render()
     return CheckReport(name, ls == rs and lhs == rhs, ls, rs, context)
 
 
@@ -304,7 +298,7 @@ def check_can_degree(configs, expected=None) -> CheckReport:
     if expected is not None:
         if not isinstance(expected, RationalFunction):
             expected = rf(Fraction(expected))
-        rhs = "{" + _render(expected) + "}"
+        rhs = "{" + expected.render() + "}"
     else:
         rhs = lhs if len(observed) <= 1 else "{" + observed[0] + "}"
     return CheckReport(
@@ -356,9 +350,9 @@ def _rand_divisor(rng: random.Random, ring: ChowRing) -> ChowClass:
     return ChowClass(ring, coeffs)
 
 
-def _rand_config(rng: random.Random, ring: ChowRing, max_components=3,
+def _rand_config(rng: random.Random, ring: ChowRing,
                  with_decomposition=False) -> NCConfig:
-    count = rng.randint(0, max_components)
+    count = rng.randint(0, 3)
     components = []
     for idx in range(count):
         if with_decomposition:
@@ -467,8 +461,6 @@ def _instance_necfacts(rng: random.Random) -> list:
 
 
 def _instance_csmnorm(rng: random.Random) -> CheckReport:
-    from .celestial import csm_stratum
-
     ring = _rand_surface(rng)
     config = _rand_config(rng, ring)
     total = ring.zero()
@@ -507,17 +499,7 @@ SUITES = {
 }
 
 
-def default_seed() -> int:
-    value = os.environ.get(SEED_ENV)
-    if value is not None:
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
-
-
-def run_suite(name: str, instances: int = 100, seed: int = None) -> list:
+def run_suite(name: str, instances: int = 100, seed: int = DEFAULT_SEED) -> list:
     """Run one named suite; returns the flat list of reports.
 
     Instance seeds derive deterministically from the suite seed, so
@@ -525,8 +507,6 @@ def run_suite(name: str, instances: int = 100, seed: int = None) -> list:
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if seed is None:
-        seed = default_seed()
     instance_fn = SUITES[name]
     master = random.Random(f"{seed}:{name}")
     instance_seeds = [master.randrange(2**63) for _ in range(instances)]
@@ -539,5 +519,5 @@ def run_suite(name: str, instances: int = 100, seed: int = None) -> list:
     return out
 
 
-def run_all(instances: int = 100, seed: int = None) -> dict:
+def run_all(instances: int = 100, seed: int = DEFAULT_SEED) -> dict:
     return {name: run_suite(name, instances, seed) for name in sorted(SUITES)}

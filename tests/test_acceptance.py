@@ -18,16 +18,13 @@ from celint.celestial import (
     stringy_hypersurface,
     zeta_degree,
 )
-from celint.chow import (
-    parse_class,
-    ring_blowup_point,
-    ring_product,
-    ring_projective,
-)
+from celint.catalog import ring_blowup_point, ring_product, ring_projective
+from celint.chow import parse_class
 from celint.errors import NotLogTerminal
 from celint.exactnum import RF_M, rf
 from celint.exprparse import parse_rf
-from celint.model import Component, NCConfig, StratumSelection, load_model
+from celint.model import Component, NCConfig, StratumSelection
+from celint.modelfile import load_model
 from celint.verify import SUITES, check_spell_elgen, run_suite
 
 from conftest import read_fixture

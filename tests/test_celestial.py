@@ -26,13 +26,8 @@ from celint.celestial import (
     zeta_class,
     zeta_degree,
 )
-from celint.chow import (
-    ChowClass,
-    parse_class,
-    ring_blowup_point,
-    ring_product,
-    ring_projective,
-)
+from celint.catalog import ring_blowup_point, ring_product, ring_projective
+from celint.chow import ChowClass, parse_class
 from celint.errors import (
     MissingDecomposition,
     NotADivisor,
@@ -51,9 +46,8 @@ from celint.model import (
     FiberedConfig,
     NCConfig,
     StratumSelection,
-    load_chain,
-    load_model,
 )
+from celint.modelfile import load_chain, load_model
 
 from conftest import read_fixture, time_limit
 

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from celint.catalog import (
+    ring_blowup_point,
+    ring_point,
+    ring_product,
+    ring_projective,
+)
 from celint.chow import (
     ChowClass,
     ChowRing,
     PushForwardMap,
-    degree_of_class,
     identity_map,
     parse_class,
     proper_transform,
-    ring_blowup_point,
-    ring_literal,
-    ring_point,
-    ring_product,
-    ring_projective,
 )
 from celint.errors import (
     DivisionByZero,
@@ -29,6 +29,7 @@ from celint.errors import (
 )
 from celint.exactnum import rf
 from celint.exprparse import parse_rf
+from celint.modelfile import ring_literal
 
 P2 = ring_projective(2)
 P3 = ring_projective(3)
@@ -59,7 +60,7 @@ def test_projective_line_and_degree():
     p1 = ring_projective(1)
     h = p1.basis_class("h")
     assert h.degree() == rf(1)
-    assert degree_of_class(p1.one()) == rf(0)
+    assert p1.one().degree() == rf(0)
 
 
 def test_product_ring_basis_order():
@@ -836,7 +837,7 @@ def test_push_and_pull_match_coefficientwise_qm(upstairs, downstairs):
 
 def reference_point():
     return ChowRing(
-        dim=0, basis=[["[V]"]], products={},
+        basis=[["[V]"]], products={},
         degree_values={"[V]": Fraction(1)},
         tangent_chern_coeffs={"[V]": Fraction(1)},
         point="[V]", kind=("projective", 0),
@@ -859,7 +860,7 @@ def reference_projective(n):
             if i + j <= n:
                 products[(name(i), name(j))] = {name(i + j): Fraction(1)}
     return ChowRing(
-        dim=n, basis=[[name(i)] for i in range(n + 1)], products=products,
+        basis=[[name(i)] for i in range(n + 1)], products=products,
         degree_values={name(n): Fraction(1)},
         tangent_chern_coeffs={name(k): Fraction(math.comb(n + 1, k))
                               for k in range(n + 1)},
@@ -891,7 +892,7 @@ def reference_ring_product(a, b):
     chern = {name(i, j): Fraction(math.comb(a + 1, i) * math.comb(b + 1, j))
              for i in range(a + 1) for j in range(b + 1)}
     return ChowRing(
-        dim=a + b, basis=basis, products=products,
+        basis=basis, products=products,
         degree_values={name(a, b): Fraction(1)}, tangent_chern_coeffs=chern,
         point=name(a, b), kind=("product", (a, b)),
     )

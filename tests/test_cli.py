@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from celint import cli, verify
 from celint.chow import parse_class
 from celint.exactnum import RF_M, rational_poles, rf
 from celint.exprparse import parse_rf
-from celint.model import load_model
+from celint.modelfile import load_model
 from celint.celestial import integrate_class
 from celint.verify import CheckReport
 
@@ -326,6 +327,9 @@ def test_verify_text_and_json(capsys):
     assert payload["seed"] == 7
     assert payload["suites"]["key"]["checks"] == 2
     assert payload["suites"]["key"]["passed"] == 2
+    code, out, _ = run_cli(capsys, "verify", "key", "--instances", "1")
+    assert code == 0
+    assert f"suite key: 1/1 passed (seed {verify.DEFAULT_SEED})" in out
 
 
 def test_cli_loads_verify_only_for_its_verb():
@@ -364,6 +368,55 @@ def test_package_root_re_exports_nothing():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_facades_keep_only_the_names_the_benchmark_reads():
+    from celint import catalog, chow, model, modelfile
+
+    def borrowed(module, owner):
+        return sorted(name for name, value in vars(module).items()
+                      if getattr(value, "__module__", None) == owner.__name__)
+
+    assert borrowed(chow, catalog) == ["ring_blowup_point"]
+    assert borrowed(model, modelfile) == ["load_model", "load_ring"]
+    tree = ast.parse(Path(catalog.__file__).read_text(encoding="utf-8"))
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert functions
+    for fn in functions:
+        assert not [n for n in ast.walk(fn)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))], fn.name
+
+
+BENCHMARK_IMPORTS = """
+import ast, importlib, sys
+from pathlib import Path
+
+bench = Path(sys.argv[1])
+for path in sorted(bench.glob("*.py")):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        module = getattr(node, "module", None) or ""
+        if isinstance(node, ast.ImportFrom) and module.split(".")[0] == "celint":
+            owner = importlib.import_module(module)
+            for alias in node.names:
+                if not hasattr(owner, alias.name):
+                    importlib.import_module(f"{module}.{alias.name}")
+sys.path.insert(0, str(bench))
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+tracer.uninstall()
+"""
+
+
+def test_benchmark_finds_every_name_it_imports():
+    # reads the benchmark's sources and changes nothing there
+    src = Path(cli.__file__).resolve().parent.parent
+    bench = src.parent / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", BENCHMARK_IMPORTS, str(bench)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -594,3 +647,138 @@ def test_unreadable_json_is_a_schema_error(tmp_path, capsys, data):
     assert (code, out) == (2, "")
     assert err.startswith("error: SchemaError: ")
     assert "unreadable.json is not valid JSON" in err
+
+
+@pytest.mark.parametrize("chern, name", [("1 + 2*q", "q"), ("1 + m", "m")])
+def test_literal_chern_naming_a_non_basis_element_is_an_exit_two_error(
+        tmp_path, capsys, chern, name):
+    model = tmp_path / "literal.json"
+    model.write_text(json.dumps({"ring": {"catalog": "literal", "presentation": {
+        **LITERAL_P1, "chern": chern}}}))
+    code, out, err = run_cli(capsys, "ring", model)
+    assert (code, out) == (2, "")
+    assert err == ("error: PresentationError: field ring.presentation.chern "
+                   f"names unknown element {name!r}\n")
+
+
+@pytest.mark.parametrize("name, path, value, options, verb, message", [
+    ("cusp.json", ("selection",), {"closed": ["B"]}, (), "integrate",
+     "field selection.closed[0] names unknown component 'B'"),
+    ("cusp.json", ("selection",), None, ("--selection", "closed:Q"), "integrate",
+     "field --selection.closed[0] names unknown component 'Q'"),
+    ("cusp.json", ("selection",), {"strata": [["D", "Z"]]}, (), "integrate",
+     "field selection.strata[0][1] names unknown component 'Z'"),
+    ("cusp.json", ("chi_closed", "D,Q"), 1, (), "degree",
+     'field chi_closed["D,Q"] names unknown component \'Q\''),
+    ("ix_cone.json", ("fiber", "T"), {"": 1}, (), "ix",
+     "field fiber.T names unknown base stratum 'T'"),
+    ("ix_cone.json", ("fiber", "v", "E,Q"), 1, (), "ix",
+     'field fiber.v["E,Q"] names unknown component \'Q\''),
+    ("ix_cone.json", ("components", 1, "name"), "D1", (), "ix",
+     "field components[1].name repeats the component name 'D1'"),
+    ("cusp.json", ("components", 1, "name"), "D", (), "integrate",
+     "field components[1].name repeats the component name 'D'"),
+], ids=["closed", "closed-option", "strata", "chi-key", "fiber-row",
+        "fiber-key", "duplicate-ringless", "duplicate-ring"])
+def test_name_that_is_not_a_component_is_named_in_an_exit_two_error(
+        tmp_path, capsys, name, path, value, options, verb, message):
+    model = tmp_path / name
+    model.write_text(json.dumps(mutate(read_fixture(name), path, value)))
+    code, out, err = run_cli(capsys, verb, model, *options)
+    assert (code, out) == (2, "")
+    assert err == f"error: SchemaError: {message}\n"
+
+
+@pytest.mark.parametrize("change, verb, code, message", [
+    ({"degree": {"P": 1, "[W]": 1}}, "ring", 2,
+     "PresentationError: degree map defined on non-top element '[W]'"),
+    ({"point": "Q"}, "ring", 2,
+     "PresentationError: point class 'Q' is not a basis element"),
+    ({"point": "[W]"}, "ring", 2,
+     "PresentationError: point class '[W]' has wrong codimension"),
+    ({"degree": {"P": 2}}, "ring", 2,
+     "PresentationError: point class 'P' must have degree 1"),
+    ({"basis": [["[W]"], ["P Q"]], "degree": {"P Q": 1}, "point": None}, "ring", 2,
+     "PresentationError: invalid basis name 'P Q'"),
+    ({"chern": "2 + 2*P"}, "ring", 2,
+     "PresentationError: tangent Chern class must have codimension-0 part 1"),
+    ({}, "integrate", 1,
+     "MissingTangentClass: this ring carries no tangent Chern class"),
+], ids=["degree-off-top", "point-unknown", "point-codim", "point-degree",
+        "name-space", "chern-unit", "no-chern"])
+def test_literal_ring_fault_is_reported(tmp_path, capsys, change, verb, code,
+                                        message):
+    model = tmp_path / "literal.json"
+    model.write_text(json.dumps({
+        "ring": {"catalog": "literal", "presentation": {**LITERAL_P1, **change}},
+        "components": [{"name": "P", "class": "P", "mult": 1}],
+    }))
+    got, out, err = run_cli(capsys, verb, model)
+    assert (got, out) == (code, "")
+    assert err == f"error: {message}\n"
+
+
+BLOWDOWN = {
+    "target": {"catalog": "projective", "n": 2},
+    "forward": {"[V]": "[V]", "h": "h", "e1": "0", "h^2": "h^2"},
+    "pullback": {"[V]": "[V]", "h": "h", "h^2": "h^2"},
+}
+FORWARD = BLOWDOWN["forward"]
+
+
+@pytest.mark.parametrize("chain, message", [
+    (BLOWDOWN, None),
+    ({**BLOWDOWN, "pullback": {"[V]": "[V]", "h": "h"}},
+     "pullback must be given on every target basis element"),
+    ({**BLOWDOWN, "forward": {**FORWARD, "h": "m*h"}},
+     "forward image of 'h' must have constant coefficients"),
+    ({**BLOWDOWN, "forward": {**FORWARD, "e1": "h"}},
+     "projection formula fails on pull('h')*'e1'"),
+], ids=["valid", "pullback-missing", "forward-with-m", "projection-formula"])
+def test_chain_fault_is_a_presentation_error(tmp_path, capsys, chain, message):
+    model = tmp_path / "blowup.json"
+    model.write_text(json.dumps({
+        "ring": {"catalog": "blowup_point",
+                 "base": {"catalog": "projective", "n": 2}},
+        "components": [{"name": "E", "class": "e1", "mult": 1}],
+        "chains": {"down": [chain]},
+    }))
+    code, out, err = run_cli(capsys, "integrate", model, "--manifest", "down")
+    if message is None:
+        assert (code, out, err) == (0, "[V] + 3*h + 3*h^2\n", "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: PresentationError: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[h", "unterminated '[' at position 0 in '[h'"),
+    ("[]", "empty '[]' name at position 0 in '[]'"),
+    ("h @ 2", "unexpected character '@' at position 2 in 'h @ 2'"),
+    ("m m", "trailing input at 'm' in 'm m'"),
+], ids=["unterminated", "empty-name", "character", "trailing"])
+def test_malformed_expression_is_a_parse_error(tmp_path, capsys, text, message):
+    model = tmp_path / "p2_line.json"
+    model.write_text(json.dumps(
+        mutate(read_fixture("p2_line.json"), ("components", 0, "class"), text)))
+    code, out, err = run_cli(capsys, "integrate", model)
+    assert (code, out) == (2, "")
+    assert err == f"error: ParseError: {message}\n"
+
+
+@pytest.mark.parametrize("options, message", [
+    (("--eval", "3"), "argument --eval: expected m=VALUE"),
+    (("--eval", "m=1/0"), "argument --eval: invalid rational value '1/0'"),
+    (("--selection", "bogus"), "error: SchemaError: unknown selection 'bogus'; "
+     "use whole, empty, closed:A,B or strata:A,B;()"),
+    (("--selection", "strata:D;;E1"), "error: SchemaError: empty stratum group; "
+     "use () for the empty index set"),
+], ids=["eval-form", "eval-zero", "selection-form", "selection-empty-group"])
+def test_malformed_option_is_an_exit_two_error(capsys, options, message):
+    try:
+        code = cli.main(["integrate", fixture("cusp.json"), *options])
+    except SystemExit as exc:  # argparse rejects the option itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.rstrip("\n").endswith(message)

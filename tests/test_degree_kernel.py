@@ -143,7 +143,8 @@ def test_fibered_values_match_pairwise_sums(seed):
                      for label in ("p", "q")}
     for label, want in stored_values.items():
         assert fibered.value_at(label) == want
-    assert fibered.total() == stored_values["p"] - rf(2) * stored_values["q"]
+    total = ix_function(fibered).paired_total(fibered.base_strata)
+    assert total == stored_values["p"] - rf(2) * stored_values["q"]
     for selection in draw_selections(rng, names):
         fn = ix_function(fibered, selection)
         for label in ("p", "q"):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celint import model
-from celint.celestial import integrate_class, integrate_degree
-from celint.chow import parse_class, ring_projective
+from celint.catalog import ring_projective
+from celint.celestial import integrate_class, integrate_degree, ix_function
+from celint.chow import parse_class
 from celint.errors import (
     NormalCrossingViolation,
     NotADivisor,
@@ -31,6 +32,8 @@ from celint.model import (
     blowup_transport_degree,
     chi_closed_from_open,
     chi_open,
+)
+from celint.modelfile import (
     load_chain,
     load_model,
     load_mult,
@@ -225,7 +228,7 @@ def test_fibered_config_cone_values():
     expected_vertex = (rf(2) + m) / ((one + m) * (one + m))
     assert fib.value_at("v") == expected_vertex
     assert expected_vertex.evaluate(Fraction(0)) == 2
-    total = fib.total()
+    total = ix_function(fib).paired_total(fib.base_strata)
     assert total == (rf(2) + m) * (rf(3) + m) / ((one + m) * (one + m))
     assert total.evaluate(Fraction(0)) == 6
 

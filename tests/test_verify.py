@@ -8,13 +8,8 @@ import pytest
 
 import celint
 from celint import verify
-from celint.chow import (
-    PushForwardMap,
-    parse_class,
-    ring_blowup_point,
-    ring_literal,
-    ring_projective,
-)
+from celint.catalog import ring_blowup_point, ring_projective
+from celint.chow import PushForwardMap, parse_class
 from celint.errors import (
     PreconditionViolated,
     RegimeWarning,
@@ -28,11 +23,9 @@ from celint.model import (
     DegreeConfig,
     NCConfig,
     StratumSelection,
-    load_chain,
-    load_model,
 )
+from celint.modelfile import load_chain, load_model, ring_literal
 from celint.verify import (
-    DEFAULT_SEED,
     SUITES,
     check_altexp,
     check_can_degree,
@@ -41,7 +34,6 @@ from celint.verify import (
     check_key,
     check_necfacts,
     check_spell_elgen,
-    default_seed,
     run_all,
     run_suite,
 )
@@ -106,6 +98,25 @@ def test_check_cov_rejections():
     b = NCConfig(P2, [Component("D", RF_M + rf(1), P2.basis_class("h"))])
     with pytest.raises(PreconditionViolated):
         check_cov(a, b)
+
+
+@pytest.mark.parametrize("classes, krho, spans", [
+    (("h - e1", "h"), "e1", [-1, 1]),
+    (("h", "2*h"), "h", [1, 0]),
+    (("h", "2*h"), "e1", None),
+], ids=["elimination", "dependent-column", "outside-span"])
+def test_check_cov_solves_krho_over_the_components(classes, krho, spans):
+    bl = ring_blowup_point(P2)[0]
+    config = NCConfig(bl, [Component(f"C{i}", rf(1), parse_class(text, bl))
+                           for i, text in enumerate(classes)])
+    krho = parse_class(krho, bl)
+    divisors = [c.divisor for c in config.components]
+    assert verify._constant_span_coeffs(krho, divisors) == spans
+    if spans is None:
+        with pytest.raises(PreconditionViolated, match="not supported"):
+            check_cov(config, config, krho=krho)
+    else:
+        assert check_cov(config, config, krho=krho).passed
 
 
 def test_check_denloe_surface_steps():
@@ -294,15 +305,6 @@ def test_suite_runs_repeat_at_one_seed():
     second = run_suite("altexp", instances=6, seed=99)
     assert first == second
     assert [r.line() for r in first] == [r.line() for r in second]
-
-
-def test_suite_seed_env_override(monkeypatch):
-    monkeypatch.setenv("CELINT_SEED", "424242")
-    assert default_seed() == 424242
-    monkeypatch.setenv("CELINT_SEED", "not a number")
-    assert default_seed() == DEFAULT_SEED
-    monkeypatch.delenv("CELINT_SEED")
-    assert default_seed() == DEFAULT_SEED
 
 
 def test_suite_unknown_name():
