@@ -15,7 +15,6 @@ from fractions import Fraction
 from .chow import ChowClass, PushForwardMap
 from .errors import (
     MissingDecomposition,
-    NotADivisor,
     NotLogTerminal,
     PreconditionViolated,
     RingMismatch,
@@ -269,15 +268,6 @@ def zeta_degree(config: DegreeConfig, selection: StratumSelection = None):
     return value, PoleReport(r for r in candidates if value.den.evaluate(r) == 0)
 
 
-def zeta(config, selection: StratumSelection = None):
-    """Dispatch on the configuration kind; see zeta_class and zeta_degree."""
-    if isinstance(config, NCConfig):
-        return zeta_class(config, selection)
-    if isinstance(config, DegreeConfig):
-        return zeta_degree(config, selection)
-    raise SchemaError("zeta needs an NCConfig or a DegreeConfig")
-
-
 def csm_stratum(config: NCConfig, index) -> ChowClass:
     """CSM class of one open stratum: the log-twisted Chern class times
     the product of the components in the index set. Multiplicities do
@@ -351,12 +341,3 @@ def stringy_hypersurface(n: int, d: int, k: int, csm_x: ChowClass,
             )
         coeff = (core + k) / (d + 1 - k)
     return csm_x + c_b.scale(rf(coeff))
-
-
-def divisor_action(div: ChowClass, c: ChowClass) -> ChowClass:
-    """Multiply by a pure codimension-1 class."""
-    if div.ring is not c.ring:
-        raise RingMismatch("divisor and class live in different rings")
-    if not div.is_pure_codim(1):
-        raise NotADivisor("the acting class must be pure codimension 1")
-    return div * c

@@ -14,7 +14,8 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, zip_longest
+from math import lcm
 
 from .catalog import ring_blowup_point
 from .chow import ChowClass, ChowRing
@@ -29,10 +30,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .exactnum import (
-    ONE_POLY,
     RF_M,
     RF_ONE,
-    ZERO_POLY,
     Polynomial,
     RationalFunction,
     as_fraction,
@@ -325,45 +324,69 @@ def weight(mult: RationalFunction):
     return RF_ONE / (RF_ONE + mult)
 
 
+def _int_mul(a: list, b: list) -> list:
+    """Product of two integer coefficient lists, by ascending exponent."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
     """Sum of c * prod_{i in I} x_i over the (I, c) in terms, with
     x_i = 1/(1+m_i), or x_i = 1/(1+m_i) - 1 = -m_i/(1+m_i) when less_one.
+    An index set may occur more than once.
 
-    A constant x_i is a Fraction, folded into the coefficient c. For an
-    m-dependent m_i = n_i/d_i, x_i is d_i/(d_i+n_i) (or -n_i/(d_i+n_i)):
-    the sum is built over the product of the d_i+n_i of those names, with
-    polynomial arithmetic only, and reduced once at the end. When no
-    name that occurs depends on m, the sum stays in Fractions. An index
-    set may occur more than once.
+    The sum runs in integers. With m_i = n_i/d_i and both cleared by one
+    scale, x_i = p_i/q_i for p_i = d_i (or -n_i) and q_i = d_i + n_i, of
+    degree 0 when m_i is constant. Over D * prod_i q_i, with D the lcm of
+    the denominators of the c, a term adds c*D times p_i for i in I and
+    q_i for i outside I. Constant names fold into that integer; the terms
+    are grouped by their m-dependent names, which are then eliminated in
+    turn, each group multiplied by p_i or q_i and merged with the group
+    that differs from it only at i. One RationalFunction reduces the sum.
     """
-    terms = [(frozenset(index), as_fraction(c)) for index, c in terms if c]
-    names = sorted(set().union(*(index for index, _ in terms)))
-    weights = {}
-    factors = []
-    for name in names:
+    terms = [(index, as_fraction(c)) for index, c in terms if c]
+    scale = lcm(*(c.denominator for _, c in terms))
+    den, fold, bits, factors = [scale], [], {}, []
+    for name in sorted(set().union(*(index for index, _ in terms))):
         mult = mults[name]
-        if mult.is_constant():
-            weights[name] = weight(mult) - 1 if less_one else weight(mult)
+        clear = lcm(*(c.denominator for c in mult.num.coeffs + mult.den.coeffs))
+        n, d = ([c.numerator * (clear // c.denominator) for c in part.coeffs]
+                for part in (mult.num, mult.den))
+        p = [-c for c in n] if less_one else d
+        q = [a + b for a, b in zip_longest(d, n, fillvalue=0)]
+        if len(q) > 1:
+            bits[name] = 1 << len(factors)
+            factors.append((p, q))
+        elif q[0]:
+            fold.append((name, p[0] if p else 0, q[0]))
         else:
-            n, d = mult.num, mult.den
-            factors.append((name, -n if less_one else d, d + n))
-    total = ZERO_POLY if factors else Fraction(0)
+            raise ZeroDenominator("rational function with zero denominator")
+        den = _int_mul(den, q)
+    groups = {}
     for index, c in terms:
-        if weights:
-            for name in index:
-                if name in weights:
-                    c *= weights[name]
-        if factors:
-            c = Polynomial._make([c])
-            for name, p, q in factors:
-                c = c * (p if name in index else q)
-        total = total + c
+        k = c.numerator * (scale // c.denominator)
+        for name, p, q in fold:
+            k *= p if name in index else q
+        key = 0
+        for name in index:
+            key |= bits.get(name, 0)
+        groups[key] = groups.get(key, 0) + k
+    groups = {key: [k] for key, k in groups.items() if k}
+    for i, (p, q) in enumerate(factors):
+        merged = {}
+        for key, poly in groups.items():
+            poly = _int_mul(poly, p if key >> i & 1 else q)
+            rest = key & ~(1 << i)
+            merged[rest] = [a + b for a, b in zip_longest(
+                merged.get(rest, ()), poly, fillvalue=0)]
+        groups = merged
+    num = groups.get(0, [])
     if not factors:
-        return RationalFunction.constant(total)
-    den = ONE_POLY
-    for _, _, q in factors:
-        den = den * q
-    return RationalFunction(total, den)
+        return RationalFunction.constant(Fraction(num[0] if num else 0, den[0]))
+    return RationalFunction(Polynomial(num), Polynomial(den))
 
 
 def chi_open(chi_closed: dict, index: frozenset) -> Fraction:
@@ -377,15 +400,6 @@ def chi_open(chi_closed: dict, index: frozenset) -> Fraction:
     for key, value in chi_closed.items():
         if index <= key:
             total += Fraction(-1) ** (len(key) - len(index)) * value
-    return total
-
-
-def chi_closed_from_open(chi_open_table: dict, index: frozenset) -> Fraction:
-    index = frozenset(index)
-    total = Fraction(0)
-    for key, value in chi_open_table.items():
-        if index <= key:
-            total += value
     return total
 
 

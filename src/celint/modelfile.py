@@ -325,6 +325,13 @@ def _read_basis(spec: dict, path: str) -> list:
                                                 PresentationError))]
 
 
+def _known(names, index, path: str):
+    """Check that each of names, given by the field at path, is a basis element."""
+    for name in names:
+        if name not in index:
+            raise PresentationError(f"field {path} names unknown element {name!r}")
+
+
 def ring_literal(spec, path: str = "") -> ChowRing:
     """Build a ring from the literal presentation at path, validating
     every axiom.
@@ -350,11 +357,10 @@ def ring_literal(spec, path: str = "") -> ChowRing:
         if len(parts) != 2:
             raise PresentationError(f"product key {key!r} must name two elements")
         a, b = parts
-        for x in (a, b):
-            if x not in index:
-                raise PresentationError(f"product key {key!r} names unknown element {x!r}")
+        _known((a, b), index, _at(at, key))
         text = read_expression(value, _at(at, key), PresentationError)
         table = _parse_lincomb(text, fundamental)
+        _known(table, index, _at(at, key))
         if fundamental in (a, b):
             other = b if a == fundamental else a
             if table != {other: Fraction(1)}:
@@ -374,13 +380,12 @@ def ring_literal(spec, path: str = "") -> ChowRing:
         for name, value in read_object(spec.get("degree"), at, {},
                                        PresentationError).items()
     }
+    _known(degree, index, at)
     chern = spec.get("chern")
     if chern is not None:
         at = _at(path, "chern")
         chern = _parse_lincomb(read_expression(chern, at, PresentationError), fundamental)
-        for name in chern:
-            if name not in index:
-                raise PresentationError(f"field {at} names unknown element {name!r}")
+        _known(chern, index, at)
     return ChowRing(
         basis=basis,
         products=products,

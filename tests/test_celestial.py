@@ -14,7 +14,6 @@ from celint.celestial import (
     alternate_form3,
     csm_set,
     csm_stratum,
-    divisor_action,
     integrate_class,
     integrate_degree,
     ix_function,
@@ -22,7 +21,6 @@ from celint.celestial import (
     manifest,
     stringy_class,
     stringy_hypersurface,
-    zeta,
     zeta_class,
     zeta_degree,
 )
@@ -30,7 +28,6 @@ from celint.catalog import ring_blowup_point, ring_product, ring_projective
 from celint.chow import ChowClass, parse_class
 from celint.errors import (
     MissingDecomposition,
-    NotADivisor,
     NotLogTerminal,
     PreconditionViolated,
     RegimeWarning,
@@ -256,15 +253,6 @@ def test_zeta_cusp_value_and_poles():
     assert value.evaluate(Fraction(1)) == Fraction(21, 11)
     assert report.poles == frozenset({Fraction(-5, 6)})
     assert report.render() == "-5/6"
-
-
-def test_zeta_dispatch():
-    model = load_model(read_fixture("cusp.json"))
-    assert zeta(model.config) == zeta_class(model.config)
-    value, _ = zeta(model.degree_data)
-    assert value == zeta_degree(model.degree_data)[0]
-    with pytest.raises(SchemaError):
-        zeta("not a config")
 
 
 def test_zeta_requires_decompositions():
@@ -493,15 +481,6 @@ def test_stringy_hypersurface_boundary():
         stringy_hypersurface(2, 3, 2, csm_x, c_b, "Omega")
     with pytest.raises(RingMismatch):
         stringy_hypersurface(5, 2, 2, csm_x, ring_projective(2).one(), "Omega")
-
-
-def test_divisor_action():
-    h = P2.basis_class("h")
-    assert divisor_action(h, P2.one() + h) == h + h * h
-    with pytest.raises(NotADivisor):
-        divisor_action(P2.one(), h)
-    with pytest.raises(RingMismatch):
-        divisor_action(h, ring_projective(3).one())
 
 
 @settings(max_examples=25, deadline=None)

@@ -692,6 +692,14 @@ def test_name_that_is_not_a_component_is_named_in_an_exit_two_error(
 @pytest.mark.parametrize("change, verb, code, message", [
     ({"degree": {"P": 1, "[W]": 1}}, "ring", 2,
      "PresentationError: degree map defined on non-top element '[W]'"),
+    ({"degree": {"P": 1, "q": 1}}, "ring", 2,
+     "PresentationError: field ring.presentation.degree names unknown element 'q'"),
+    ({"products": {"P,P": "q"}}, "ring", 2,
+     'PresentationError: field ring.presentation.products["P,P"] names unknown '
+     "element 'q'"),
+    ({"products": {"P,q": "0"}}, "ring", 2,
+     'PresentationError: field ring.presentation.products["P,q"] names unknown '
+     "element 'q'"),
     ({"point": "Q"}, "ring", 2,
      "PresentationError: point class 'Q' is not a basis element"),
     ({"point": "[W]"}, "ring", 2,
@@ -704,7 +712,8 @@ def test_name_that_is_not_a_component_is_named_in_an_exit_two_error(
      "PresentationError: tangent Chern class must have codimension-0 part 1"),
     ({}, "integrate", 1,
      "MissingTangentClass: this ring carries no tangent Chern class"),
-], ids=["degree-off-top", "point-unknown", "point-codim", "point-degree",
+], ids=["degree-off-top", "degree-unknown", "product-unknown", "product-key-unknown",
+        "point-unknown", "point-codim", "point-degree",
         "name-space", "chern-unit", "no-chern"])
 def test_literal_ring_fault_is_reported(tmp_path, capsys, change, verb, code,
                                         message):

@@ -5,11 +5,14 @@ earlier implementations: each index set's weight is built by dividing
 by 1 + m_i one name at a time, and every open stratum below a key of the
 Euler table is visited. Every step reduces a RationalFunction, so the
 references are slow but share no code with the kernel beyond Q(m)
-arithmetic. The zeta pole report is checked against `rational_poles`,
-which searches the divisors of the denominator's coefficients.
+arithmetic. When SymPy is installed, `sympy.cancel` of the literal
+subset sum is a second, independent oracle. The zeta pole report is
+checked against `rational_poles`, which searches the divisors of the
+denominator's coefficients.
 """
 
 import random
+import time
 import warnings
 from fractions import Fraction
 from itertools import chain, combinations
@@ -18,7 +21,7 @@ import pytest
 
 from celint.celestial import integrate_degree, ix_function, zeta_degree
 from celint.errors import RegimeWarning, ZeroDenominator
-from celint.exactnum import RF_M, Polynomial, rational_poles, rf
+from celint.exactnum import RF_M, Polynomial, RationalFunction, rational_poles, rf
 from celint.exprparse import parse_rf
 from celint.model import DegreeConfig, FiberedConfig, StratumSelection, stratum_sum
 
@@ -40,7 +43,8 @@ def all_subsets(names):
         combinations(names, r) for r in range(len(names) + 1))]
 
 
-def reference_stratum_sum(selection, mults, terms):
+def reference_stratum_sum(selection, mults, terms, less_one=False):
+    """x_i = 1/(1+m_i), or x_i - 1 = -m_i/(1+m_i) when less_one."""
     total = rf(0)
     for index, c in terms:
         if c == 0 or index not in selection:
@@ -48,6 +52,8 @@ def reference_stratum_sum(selection, mults, terms):
         weight = rf(c)
         for name in index:
             weight = weight / (rf(1) + mults[name])
+            if less_one:
+                weight = weight * (rf(-1) * mults[name])
         total = total + weight
     return total
 
@@ -242,35 +248,132 @@ def test_kernel_rejects_a_multiplicity_of_minus_one(less_one):
 
 
 def test_constant_weights_fold_into_the_coefficients(monkeypatch):
-    # four names, one of them m-linear: only its factor enters polynomial
-    # arithmetic, so a call makes one product per term and one for the
-    # denominator, and one sum per term and one for d + n
+    # four names, one of them m-linear: the kernel multiplies integer
+    # lists, never a Polynomial, and reduces once per m-dependent call;
+    # with constants only it builds no RationalFunction through a gcd
     mults = {"A": rf(2), "B": rf(Fraction(1, 3)), "C": RF_M + rf(1),
              "D": rf(Fraction(-5, 2))}
     terms = [(frozenset(), Fraction(3)), (frozenset("A"), Fraction(1)),
              (frozenset("AC"), Fraction(-2)), (frozenset("BCD"), Fraction(1, 2)),
              (frozenset("C"), Fraction(4)), (frozenset("ABD"), Fraction(5))]
+    constant = {**mults, "C": rf(Fraction(7, 2))}
     whole = StratumSelection.whole("ABCD")
+    want = [reference_stratum_sum(whole, table, terms, less_one)
+            for table in (mults, constant) for less_one in (False, True)]
+    calls = {"__mul__": 0, "__init__": 0}
+    for cls, name in ((Polynomial, "__mul__"), (RationalFunction, "__init__")):
+        original = getattr(cls, name)
 
-    def reference_less_one(terms):
-        total = rf(0)
-        for index, c in terms:
-            value = rf(c)
-            for name in index:
-                value = value * (rf(-1) * mults[name] / (rf(1) + mults[name]))
-            total = total + value
-        return total
-
-    want = [reference_stratum_sum(whole, mults, terms), reference_less_one(terms)]
-    calls = {"__mul__": 0, "__add__": 0}
-    for name in calls:
-        original = getattr(Polynomial, name)
-
-        def counting(self, other, original=original, name=name):
+        def counting(self, *args, original=original, name=name):
             calls[name] += 1
-            return original(self, other)
+            return original(self, *args)
 
-        monkeypatch.setattr(Polynomial, name, counting)
+        monkeypatch.setattr(cls, name, counting)
     got = [stratum_sum(terms, mults), stratum_sum(terms, mults, less_one=True)]
-    assert calls == {"__mul__": 14, "__add__": 14}
+    assert calls == {"__mul__": 0, "__init__": 2}
+    got += [stratum_sum(terms, constant), stratum_sum(terms, constant, less_one=True)]
+    assert calls == {"__mul__": 0, "__init__": 2}
     assert got == want
+
+
+# coefficients with zeros, repeats of one value, halves and a 21-digit int
+COEFFS = (0, 0, 1, -1, 2, 5, Fraction(1, 2), Fraction(-3, 4), Fraction(7, 6), 10**20 + 3)
+DEGREE_3 = ("m^3 - 2*m + 1/2", "(m^3 + 1)/(2*m - 1)", "1/(m^3 + m + 1)")
+KINDS = ("constant", "linear", "parsed", "mixed")
+
+
+def draw_mult(rng, kind):
+    """A constant, an m-linear a*m + k with rational a and k, or a parsed
+    multiplicity of degree 2 or 3; a mixed draw picks one of the three."""
+    if kind == "mixed":
+        kind = rng.choice(KINDS[:3])
+    if kind == "constant":
+        return rf(rng.choice(CONSTANT)[1])
+    if kind == "linear":
+        a = rng.choice((1, 2, -1, Fraction(1, 2), Fraction(-2, 3)))
+        return rf(a) * RF_M + rf(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+    return parse_rf(rng.choice(PARSED + DEGREE_3))
+
+
+# seeds cycle through constant, m-linear, parsed and mixed multiplicities
+@pytest.mark.parametrize("seed", range(48))
+def test_kernel_matches_the_reference_sum(seed):
+    rng = random.Random(2000 + seed)
+    names = [f"E{i}" for i in range(rng.randint(0, 5))]
+    mults = {name: draw_mult(rng, KINDS[seed % 4]) for name in names}
+    subsets = all_subsets(names)
+    terms = [(rng.choice(subsets), rng.choice(COEFFS)) for _ in range(rng.randint(0, 10))]
+    terms += rng.sample(terms, min(len(terms), 3))
+    whole = StratumSelection.whole(names)
+    for less_one in (False, True):
+        assert stratum_sum(terms, mults, less_one) == reference_stratum_sum(
+            whole, mults, terms, less_one)
+    if not names:
+        return
+    # m = -1 at one name raises once a nonzero term holds that name
+    bad = rng.choice(names)
+    mults[bad] = rf(-1)
+    for less_one in (False, True):
+        if any(c and bad in index for index, c in terms):
+            with pytest.raises(ZeroDenominator):
+                stratum_sum(terms, mults, less_one)
+        else:
+            assert stratum_sum(terms, mults, less_one) == reference_stratum_sum(
+                whole, mults, terms, less_one)
+
+
+@pytest.mark.parametrize("count, linear, k0", [(14, 7, 0), (12, 12, 10**18)],
+                         ids=["c14-half-linear", "c12-linear-19-digit"])
+def test_full_table_of_many_names_sums_fast(count, linear, k0):
+    # the Euler table holds every subset of the names; summing term by
+    # term in Q(m) took 3 s for either table
+    rng = random.Random(count)
+    names = [f"N{i}" for i in range(count)]
+    mults = {n: rf(1 + i % 3) * RF_M + rf(k0 + i) if i < linear
+             else rf(Fraction(i + 1, 2)) for i, n in enumerate(names)}
+    table = {key: Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+             for key in all_subsets(names)}
+    config = DegreeConfig(names, mults, table)
+    with time_limit(10):
+        start = time.process_time()
+        value = integrate_degree(config)
+        spent = time.process_time() - start
+    assert spent < 1
+    for point in (Fraction(1, 3), Fraction(7, 2)):
+        x = {n: 1 / (1 + m.evaluate(point)) - 1 for n, m in mults.items()}
+        want = Fraction(0)
+        for key, chi in table.items():
+            for name in key:
+                chi *= x[name]
+            want += chi
+        assert value.evaluate(point) == want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_agrees_with_sympy_cancel(seed):
+    # SymPy puts the literal sum over every subset on one denominator
+    # and reduces it
+    sympy = pytest.importorskip("sympy")
+    m = sympy.Symbol("m")
+
+    def to_sympy(value):
+        num, den = (sum(sympy.Rational(c.numerator, c.denominator) * m**k
+                        for k, c in enumerate(part.coeffs))
+                    for part in (value.num, value.den))
+        return num / den
+
+    rng = random.Random(3000 + seed)
+    names = [f"E{i}" for i in range(rng.randint(1, 6))]
+    mults = {name: draw_mult(rng, "mixed") for name in names}
+    terms = [(index, rng.choice(COEFFS)) for index in all_subsets(names)]
+    less_one = seed % 2 == 1
+    x = {}
+    for name, mult in mults.items():
+        mu = to_sympy(mult)
+        x[name] = -mu / (1 + mu) if less_one else 1 / (1 + mu)
+    literal = sympy.cancel(sympy.together(sum(
+        sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+        * sympy.Mul(*(x[name] for name in index)) for index, c in terms)))
+    got = stratum_sum(terms, mults, less_one)
+    assert sympy.cancel(to_sympy(got) - literal) == 0
+    assert sympy.degree(sympy.denom(literal), m) == got.den.degree
