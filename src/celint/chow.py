@@ -585,15 +585,6 @@ class PushForwardMap:
             raise RingMismatch("class does not live in the target ring of this map")
         return _image(self.source, self.pullback, c)
 
-    def then(self, other: "PushForwardMap") -> "PushForwardMap":
-        """Compose with a further push-forward applied after this one."""
-        if self.target is not other.source:
-            raise RingMismatch("maps do not compose: target and source differ")
-        forward = {n: other.push(cls) for n, cls in self.forward.items()}
-        pullback = {n: self.pull(cls) for n, cls in other.pullback.items()}
-        label = f"{self.label}+{other.label}" if self.label and other.label else ""
-        return PushForwardMap(self.source, other.target, forward, pullback, label)
-
     def _validate(self):
         src, tgt = self.source, self.target
         if set(self.forward) != set(src.all_names):

@@ -194,11 +194,18 @@ class Polynomial:
         return Polynomial._make([c * k for k, c in enumerate(self.coeffs) if k])
 
     def evaluate(self, x) -> Fraction:
+        """The value at x, by Horner's rule in integers: with x = u/v and
+        the coefficients over one denominator s, s*v^n*p(x) is an integer."""
         x = as_fraction(x)
-        acc = Fraction(0)
+        if not self.coeffs:
+            return Fraction(0)
+        u, v = x.numerator, x.denominator
+        scale = _ilcm(*(c.denominator for c in self.coeffs))
+        acc, w = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * u + c.numerator * (scale // c.denominator) * w
+            w *= v
+        return Fraction(acc, scale * (w // v))
 
     def squarefree_factors(self):
         """Yun decomposition as (monic squarefree factor, multiplicity) pairs."""

@@ -15,7 +15,7 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations, zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .catalog import ring_blowup_point
 from .chow import ChowClass, ChowRing
@@ -32,6 +32,7 @@ from .errors import (
 from .exactnum import (
     RF_M,
     RF_ONE,
+    RF_ZERO,
     Polynomial,
     RationalFunction,
     as_fraction,
@@ -326,10 +327,54 @@ def weight(mult: RationalFunction):
 
 def _int_mul(a: list, b: list) -> list:
     """Product of two integer coefficient lists, by ascending exponent."""
+    if len(a) < len(b):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
+    for j, y in enumerate(b):
+        for i, x in enumerate(a):
             out[i + j] += x * y
+    return out
+
+
+def _primitive(a: list) -> tuple:
+    """Content and primitive part of a nonzero integer list, trailing zeros
+    dropped."""
+    a = list(a)
+    while not a[-1]:
+        a.pop()
+    c = gcd(*a)
+    return c, [x // c for x in a]
+
+
+def _remainder(a: list, b: list) -> list:
+    """Primitive part of a pseudo-remainder of a by b, both integer lists
+    with b nonzero and stripped; [] when b divides a. A step scales the
+    running remainder by a factor of b's leading coefficient only when
+    its own leading coefficient is not a multiple of it."""
+    r, lead = list(a), b[-1]
+    while len(r) >= len(b):
+        c = r[-1]
+        if c % lead:
+            f = lead // gcd(c, lead)
+            r = [x * f for x in r]
+            c *= f
+        t, shift = c // lead, len(r) - len(b)
+        for j, y in enumerate(b):
+            r[shift + j] -= t * y
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)[1] if r else []
+
+
+def _quotient(a: list, b: list) -> list:
+    """a / b for integer lists, b primitive and dividing a exactly, so
+    (Gauss) every quotient coefficient is an integer."""
+    r, lead = list(a), b[-1]
+    out = [0] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(out))):
+        t = out[shift] = r[shift + len(b) - 1] // lead
+        for j, y in enumerate(b):
+            r[shift + j] -= t * y
     return out
 
 
@@ -345,11 +390,17 @@ def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
     q_i for i outside I. Constant names fold into that integer; the terms
     are grouped by their m-dependent names, which are then eliminated in
     turn, each group multiplied by p_i or q_i and merged with the group
-    that differs from it only at i. One RationalFunction reduces the sum.
+    that differs from it only at i.
+
+    A common factor of the sum and its denominator divides some q_i, so
+    the reduction takes each m-dependent q_i in turn: its content joins
+    the integer part of the denominator, and g = gcd(num, q_i) comes from
+    the pseudo-remainder of num by q_i (a division test when q_i is
+    linear); num and q_i are divided by g. No gcd runs on num itself.
     """
     terms = [(index, as_fraction(c)) for index, c in terms if c]
     scale = lcm(*(c.denominator for _, c in terms))
-    den, fold, bits, factors = [scale], [], {}, []
+    den, fold, bits, factors = scale, [], {}, []
     for name in sorted(set().union(*(index for index, _ in terms))):
         mult = mults[name]
         clear = lcm(*(c.denominator for c in mult.num.coeffs + mult.den.coeffs))
@@ -362,9 +413,9 @@ def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
             factors.append((p, q))
         elif q[0]:
             fold.append((name, p[0] if p else 0, q[0]))
+            den *= q[0]
         else:
             raise ZeroDenominator("rational function with zero denominator")
-        den = _int_mul(den, q)
     groups = {}
     for index, c in terms:
         k = c.numerator * (scale // c.denominator)
@@ -380,13 +431,29 @@ def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
         for key, poly in groups.items():
             poly = _int_mul(poly, p if key >> i & 1 else q)
             rest = key & ~(1 << i)
+            other = merged.get(rest)
             merged[rest] = [a + b for a, b in zip_longest(
-                merged.get(rest, ()), poly, fillvalue=0)]
+                other, poly, fillvalue=0)] if other else poly
         groups = merged
     num = groups.get(0, [])
-    if not factors:
-        return RationalFunction.constant(Fraction(num[0] if num else 0, den[0]))
-    return RationalFunction(Polynomial(num), Polynomial(den))
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return RF_ZERO
+    kept = [1]
+    for _, q in factors:
+        content, q = _primitive(q)
+        den *= content
+        g, r = q, _remainder(num, q)
+        while len(r) > 1:
+            g, r = r, _remainder(g, r)
+        if not r:
+            num, q = _quotient(num, g), _quotient(q, g)
+        kept = _int_mul(kept, q)
+    lead = den * kept[-1]
+    return RationalFunction._make(
+        Polynomial._make([Fraction(c, lead) for c in num]),
+        Polynomial._make([Fraction(c, kept[-1]) for c in kept]))
 
 
 def chi_open(chi_closed: dict, index: frozenset) -> Fraction:

@@ -333,17 +333,6 @@ def test_pushforward_validation_failures():
         PushForwardMap(bl, P2, broken, down.pullback)
 
 
-def test_pushforward_composition():
-    bl1, down1, e1 = ring_blowup_point(P2)
-    bl2, down2, e2 = ring_blowup_point(bl1)
-    two = down2.then(down1)
-    assert two.push(bl2.one()) == P2.one()
-    assert two.push(two.pull(P2.basis_class("h"))) == P2.basis_class("h")
-    assert two.push(bl2.basis_class("e1")).is_zero()
-    with pytest.raises(RingMismatch):
-        down1.then(down2)
-
-
 def test_pushforward_ring_checks():
     _, down, _ = ring_blowup_point(P2)
     with pytest.raises(RingMismatch):

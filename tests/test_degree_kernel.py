@@ -5,8 +5,11 @@ earlier implementations: each index set's weight is built by dividing
 by 1 + m_i one name at a time, and every open stratum below a key of the
 Euler table is visited. Every step reduces a RationalFunction, so the
 references are slow but share no code with the kernel beyond Q(m)
-arithmetic. When SymPy is installed, `sympy.cancel` of the literal
-subset sum is a second, independent oracle. The zeta pole report is
+arithmetic. `euclid_stratum_sum` puts the literal sum over the full
+denominator and reduces it by one Euclid gcd over Q, the reduction the
+kernel made before it divided by its own denominator factors. When SymPy
+is installed, `sympy.cancel` of the literal subset sum is a further,
+independent oracle. The zeta pole report is
 checked against `rational_poles`, which searches the divisors of the
 denominator's coefficients.
 """
@@ -21,7 +24,8 @@ import pytest
 
 from celint.celestial import integrate_degree, ix_function, zeta_degree
 from celint.errors import RegimeWarning, ZeroDenominator
-from celint.exactnum import RF_M, Polynomial, RationalFunction, rational_poles, rf
+from celint.exactnum import (RF_M, Polynomial, RationalFunction, as_fraction,
+                             rational_poles, rf)
 from celint.exprparse import parse_rf
 from celint.model import DegreeConfig, FiberedConfig, StratumSelection, stratum_sum
 
@@ -182,7 +186,8 @@ def test_zeta_poles_of_nineteen_digit_multiplicities():
 
 def test_large_key_with_nineteen_digit_multiplicities_finishes_fast():
     # one key of 16 names, each with a 19-digit k: the subset sum over the
-    # key took minutes; one gcd on the degree-16 denominator takes 0.5 s
+    # key took minutes, and a Euclid gcd on the degree-16 denominator took
+    # 0.5 s; reducing by the denominator's own linear factors takes ms
     names = [f"N{i}" for i in range(16)]
     decompositions = {n: (1 + i % 3, 10**18 + i) for i, n in enumerate(names)}
     mults = {n: rf(a) * RF_M + rf(k) for n, (a, k) in decompositions.items()}
@@ -208,6 +213,39 @@ def test_large_key_with_nineteen_digit_multiplicities_finishes_fast():
         for key, chi in table.items())
     assert len(report.poles) == value.den.degree == 16
     assert all(value.den.evaluate(pole) == 0 for pole in report.poles)
+
+
+@pytest.mark.parametrize("count", [24, 32])
+def test_one_key_of_many_names_with_nineteen_digit_multiplicities_is_fast(count):
+    # with a Euclid gcd over Q at the end, zeta_degree took 9.4 s on the
+    # 24-name key
+    names = [f"N{i}" for i in range(count)]
+    decompositions = {n: (1 + i % 3, 10**18 + i) for i, n in enumerate(names)}
+    mults = {n: rf(a) * RF_M + rf(k) for n, (a, k) in decompositions.items()}
+    table = {frozenset(): 5, frozenset(names): 1, frozenset(names[:1]): 2,
+             frozenset(names[1:3]): -1}
+    config = DegreeConfig(names, mults, table, decompositions=decompositions)
+    core = frozenset(names[2:5])
+    with time_limit(5):
+        start = time.process_time()
+        value, report = zeta_degree(config)
+        closed = integrate_degree(config, StratumSelection.from_closed(names, core))
+        spent = time.process_time() - start
+    assert spent < 1
+    point = Fraction(1, 3)
+    x = {n: 1 / (1 + m.evaluate(point)) - 1 for n, m in mults.items()}
+
+    def product(key):
+        out = Fraction(1)
+        for name in key:
+            out *= x[name]
+        return out
+
+    assert value.evaluate(point) == sum(chi * product(key) for key, chi in table.items())
+    assert closed.evaluate(point) == sum(
+        chi * (product(key) - (-1) ** len(key & core) * product(key - core))
+        for key, chi in table.items())
+    assert len(report.poles) == value.den.degree == count
 
 
 def test_kernel_sums_repeated_index_sets():
@@ -249,8 +287,8 @@ def test_kernel_rejects_a_multiplicity_of_minus_one(less_one):
 
 def test_constant_weights_fold_into_the_coefficients(monkeypatch):
     # four names, one of them m-linear: the kernel multiplies integer
-    # lists, never a Polynomial, and reduces once per m-dependent call;
-    # with constants only it builds no RationalFunction through a gcd
+    # lists, never a Polynomial, and reduces by its own factors in
+    # integers, with no Polynomial.gcd and no RationalFunction.__init__
     mults = {"A": rf(2), "B": rf(Fraction(1, 3)), "C": RF_M + rf(1),
              "D": rf(Fraction(-5, 2))}
     terms = [(frozenset(), Fraction(3)), (frozenset("A"), Fraction(1)),
@@ -260,8 +298,9 @@ def test_constant_weights_fold_into_the_coefficients(monkeypatch):
     whole = StratumSelection.whole("ABCD")
     want = [reference_stratum_sum(whole, table, terms, less_one)
             for table in (mults, constant) for less_one in (False, True)]
-    calls = {"__mul__": 0, "__init__": 0}
-    for cls, name in ((Polynomial, "__mul__"), (RationalFunction, "__init__")):
+    calls = {"__mul__": 0, "gcd": 0, "__init__": 0}
+    for cls, name in ((Polynomial, "__mul__"), (Polynomial, "gcd"),
+                      (RationalFunction, "__init__")):
         original = getattr(cls, name)
 
         def counting(self, *args, original=original, name=name):
@@ -270,9 +309,8 @@ def test_constant_weights_fold_into_the_coefficients(monkeypatch):
 
         monkeypatch.setattr(cls, name, counting)
     got = [stratum_sum(terms, mults), stratum_sum(terms, mults, less_one=True)]
-    assert calls == {"__mul__": 0, "__init__": 2}
     got += [stratum_sum(terms, constant), stratum_sum(terms, constant, less_one=True)]
-    assert calls == {"__mul__": 0, "__init__": 2}
+    assert calls == {"__mul__": 0, "gcd": 0, "__init__": 0}
     assert got == want
 
 
@@ -377,3 +415,73 @@ def test_kernel_agrees_with_sympy_cancel(seed):
     got = stratum_sum(terms, mults, less_one)
     assert sympy.cancel(to_sympy(got) - literal) == 0
     assert sympy.degree(sympy.denom(literal), m) == got.den.degree
+
+
+def euclid_stratum_sum(terms, mults, less_one=False):
+    """The literal sum over the full denominator prod_i q_i of the names
+    that occur, with x_i = p_i/q_i as in the kernel, in Polynomial
+    arithmetic, reduced by one RationalFunction (a Euclid gcd over Q)."""
+    terms = [(index, c) for index, c in terms if c]
+    names = sorted(set().union(*(index for index, _ in terms)))
+    parts = {}
+    for name in names:
+        n, d = mults[name].num, mults[name].den
+        parts[name] = (-n if less_one else d, d + n)
+    num, den = Polynomial(()), Polynomial([1])
+    for index, c in terms:
+        product = Polynomial([c])
+        for name in names:
+            p, q = parts[name]
+            product = product * (p if name in index else q)
+        num = num + product
+    for name in names:
+        den = den * parts[name][1]
+    return RationalFunction(num, den)
+
+
+# a small pool, so that multiplicities repeat and den holds q_i^2; q_i
+# is 2m + 2 (not primitive), -2m - 2 (negative leading coefficient),
+# m + 10^18 + 8, (m + 1)(m + 2) and m^2 + 2 (degree 2), 1 with
+# p_i = 1 + m (-m/(1+m)), 2m + 1 with p_i = m + 3, and constants
+POOL = ("m", "m + 1", "2*m + 1", "-2*m - 3", "m/2 + 3/2", "m + 1000000000000000007",
+        "m^2 + 3*m + 1", "m^2 + 1", "-m/(1 + m)", "(m - 2)/(m + 3)",
+        "2", "1/3", "-5/2", "1000000000000000007")
+
+
+def draw_cancelling_terms(rng, names, mults):
+    """Terms whose sum cancels a factor of the denominator."""
+    shape = rng.randrange(4)
+    a, b = rng.sample(names, 2) if len(names) > 1 else (names[0], None)
+    c = rng.choice(COEFFS[2:])
+    if shape == 0 and b:
+        # x_a - x_b with m_a = m_b: both q's cancel, and x_a + x_b keeps one
+        mults[b] = mults[a]
+        return [(frozenset({a}), c), (frozenset({b}), rng.choice((c, -c)))]
+    if shape == 1 and b:
+        # x_a * x_b = 1 for m_a = m and m_b = -m/(1 + m): p_b = 1 + m = q_a
+        mults[a], mults[b] = parse_rf("m"), parse_rf("-m/(1 + m)")
+        return [(frozenset({a, b}), c), (frozenset({b}), rng.choice(COEFFS))]
+    if shape == 2 and b:
+        # q_a = (m + 1)(m + 2) shares m + 1 with the numerator
+        mults[a], mults[b] = parse_rf("m^2 + 3*m + 1"), parse_rf("m")
+        return [(frozenset({a}), c), (frozenset({b}), rng.choice(COEFFS[2:]))]
+    # a sum of 0
+    terms = [(frozenset(rng.sample(names, rng.randint(0, len(names)))), rng.choice(COEFFS))
+             for _ in range(rng.randint(1, 4))]
+    return terms + [(index, -as_fraction(c)) for index, c in terms]
+
+
+@pytest.mark.parametrize("seed", range(210))
+def test_reduction_matches_euclid_over_the_full_denominator(seed):
+    rng = random.Random(4000 + seed)
+    names = [f"E{i}" for i in range(rng.randint(1, 6))]
+    mults = {name: parse_rf(rng.choice(POOL)) for name in names}
+    subsets = all_subsets(names)
+    terms = [(rng.choice(subsets), rng.choice(COEFFS)) for _ in range(rng.randint(1, 8))]
+    if seed % 2:
+        terms += draw_cancelling_terms(rng, names, mults)
+    whole = StratumSelection.whole(names)
+    for less_one in (False, True):
+        got = stratum_sum(terms, mults, less_one)
+        assert got == euclid_stratum_sum(terms, mults, less_one)
+        assert got == reference_stratum_sum(whole, mults, terms, less_one)

@@ -66,6 +66,18 @@ def test_polynomial_evaluate():
     assert p.evaluate(Fraction(0)) == 1
     assert p.evaluate(Fraction(1)) == 0
     assert p.evaluate(Fraction(1, 2)) == 0
+    assert Polynomial(()).evaluate(Fraction(-2, 3)) == 0
+    # against Horner's rule in Fractions, with coefficient denominators,
+    # zero coefficients and 19-digit values
+    coeffs = (0, 1, -2, Fraction(1, 2), Fraction(-7, 6), 10**18 + 7, Fraction(1, 10**18 + 9))
+    points = (0, 3, -1, Fraction(1, 3), Fraction(-5, 4), Fraction(10**18 + 1, 7))
+    for n in range(len(coeffs)):
+        p = Polynomial(coeffs[n:] + coeffs[:n])
+        for x in points:
+            want = Fraction(0)
+            for c in reversed(p.coeffs):
+                want = want * x + c
+            assert p.evaluate(x) == want
 
 
 def test_squarefree_factors():
