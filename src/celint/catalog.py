@@ -14,7 +14,7 @@ from itertools import product
 from math import comb, prod
 from operator import add, le
 
-from .chow import ChowRing, PushForwardMap, identity_map
+from .chow import ChowRing, PushForwardMap
 from .errors import PresentationError, UnsupportedCatalog
 
 
@@ -108,10 +108,11 @@ def _blowup_point(base: ChowRing):
     if n == 0:
         raise UnsupportedCatalog("cannot blow up a point of a zero-dimensional ring")
     if n == 1:
-        m = identity_map(base)
+        # a point of a curve is a divisor already; blowing it up changes nothing
+        ident = {name: base.basis_class(name) for name in base.all_names}
+        m = PushForwardMap(base, base, ident, dict(ident), label="id")
         return base, m, base.basis_class(base.point)
-    depth = base.meta.get("blowup_depth", 0) + 1
-    e = f"e{depth}"
+    e = f"e{base.kind.count('blowup') + 1}"
     if e in base.codim_of:
         raise PresentationError(f"name {e!r} already used in the base ring")
     basis = [list(level) for level in base.basis]
@@ -147,7 +148,6 @@ def _blowup_point(base: ChowRing):
         tangent_chern_coeffs=chern,
         point=base.point,
         kind=("blowup",) + base.kind,
-        meta={"blowup_depth": depth},
     )
     forward = {}
     for name in base.all_names:
@@ -158,6 +158,5 @@ def _blowup_point(base: ChowRing):
     blowdown = PushForwardMap(
         ring, base, forward, pullback,
         label=f"blowdown_{e}",
-        meta={"exceptional": e},
     )
     return ring, blowdown, ring.basis_class(e)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .chow import ChowClass, PushForwardMap
 from .errors import (
     MissingDecomposition,
-    NotLogTerminal,
     PreconditionViolated,
     RingMismatch,
     SchemaError,
@@ -317,27 +316,3 @@ def stringy_class(config: NCConfig, chain=None) -> ChowClass:
     _require_constant_mults(config, "stringy_class")
     return manifest(integrate_class(config, None), chain)
 
-
-def stringy_hypersurface(n: int, d: int, k: int, csm_x: ChowClass,
-                         c_b: ChowClass, flavor: str) -> ChowClass:
-    """Closed form for a degree-d hypersurface with multiplicity-k
-    singular locus B: the CSM class plus a flavor-dependent rational
-    multiple of the class of B."""
-    if flavor not in ("Omega", "omega"):
-        raise SchemaError('flavor must be "Omega" or "omega"')
-    if not (isinstance(d, int) and d >= 1 and isinstance(k, int) and k >= 1):
-        raise PreconditionViolated("d and k must be integers >= 1")
-    if not (isinstance(n, int) and n >= d):
-        raise PreconditionViolated("the ambient dimension n must be >= d")
-    if csm_x.ring is not c_b.ring:
-        raise RingMismatch("csm_x and c_b must live in the same ring")
-    core = (Fraction((1 - k) ** (d + 1) - 1, k))
-    if flavor == "Omega":
-        coeff = (core + 1) / d
-    else:
-        if k >= d + 1:
-            raise NotLogTerminal(
-                f"omega flavor needs k < d+1; got k={k}, d={d}"
-            )
-        coeff = (core + k) / (d + 1 - k)
-    return csm_x + c_b.scale(rf(coeff))

@@ -26,11 +26,9 @@ from math import gcd, lcm
 from .errors import (
     DivisionByZero,
     MissingTangentClass,
-    NotADivisor,
     ParseError,
     PresentationError,
     RingMismatch,
-    UnsupportedCatalog,
 )
 from .exactnum import (
     RF_M,
@@ -75,13 +73,12 @@ class ChowRing:
         "tangent_chern",
         "point",
         "kind",
-        "meta",
         "blown_up",
         "table",
     )
 
     def __init__(self, basis, products, degree_values, tangent_chern_coeffs,
-                 point, kind, meta=None):
+                 point, kind):
         self.basis = tuple(tuple(level) for level in basis)
         self.dim = len(self.basis) - 1
         self.codim_of = {}
@@ -104,7 +101,6 @@ class ChowRing:
         self.degree_values = dict(degree_values)
         self.point = point
         self.kind = kind
-        self.meta = dict(meta or {})
         self.blown_up = None
         self.tangent_chern = None
         self._validate()
@@ -564,15 +560,14 @@ class PushForwardMap:
     combination.
     """
 
-    __slots__ = ("source", "target", "forward", "pullback", "label", "meta")
+    __slots__ = ("source", "target", "forward", "pullback", "label")
 
-    def __init__(self, source, target, forward, pullback, label="", meta=None):
+    def __init__(self, source, target, forward, pullback, label=""):
         self.source = source
         self.target = target
         self.forward = dict(forward)
         self.pullback = dict(pullback)
         self.label = label
-        self.meta = dict(meta or {})
         self._validate()
 
     def push(self, c: ChowClass) -> ChowClass:
@@ -649,11 +644,6 @@ def _image(ring: ChowRing, images: dict, c: ChowClass) -> ChowClass:
     return out if d == 1 else out.scale(Fraction(1, d))
 
 
-def identity_map(ring: ChowRing) -> PushForwardMap:
-    ident = {n: ring.basis_class(n) for n in ring.all_names}
-    return PushForwardMap(ring, ring, ident, dict(ident), label="id")
-
-
 class _ClassAlgebra(Operators):
     """Full expression algebra over one ring: names are basis elements or m."""
 
@@ -674,21 +664,6 @@ class _ClassAlgebra(Operators):
 def parse_class(text: str, ring: ChowRing) -> ChowClass:
     """Parse a class expression whose names are basis elements of the ring."""
     return parse_expression(text, _ClassAlgebra(ring))
-
-
-def proper_transform(f: PushForwardMap, divisor: ChowClass,
-                     center_multiplicity) -> ChowClass:
-    """Pull back a divisor class and subtract the center multiplicity on the exceptional."""
-    if "exceptional" not in f.meta:
-        raise UnsupportedCatalog(
-            "proper transform needs a blow-down map with a recorded exceptional class"
-        )
-    if divisor.ring is not f.target:
-        raise RingMismatch("divisor class does not live in the blow-down target")
-    if not divisor.is_pure_codim(1):
-        raise NotADivisor("proper transform applies to codimension-1 classes only")
-    e = f.source.basis_class(f.meta["exceptional"])
-    return f.pull(divisor) - e.scale(rf(center_multiplicity))
 
 
 # The constructors build on the classes above. They sit in a module of

@@ -142,12 +142,6 @@ class NCConfig:
 
     warn_if_outside = _warn_if_outside
 
-    def total_divisor_class(self) -> ChowClass:
-        out = self.ring.zero()
-        for comp in self.components:
-            out = out + comp.divisor.scale(comp.mult)
-        return out
-
 
 def _all_subsets(names):
     items = tuple(names)
@@ -256,15 +250,6 @@ class StratumSelection:
     def difference(self, other: "StratumSelection") -> "StratumSelection":
         self.check_universe(other._names)
         return StratumSelection(self.universe, self.strata - other.strata)
-
-    def complement(self) -> "StratumSelection":
-        if self.is_whole():
-            return StratumSelection.empty(self.universe)
-        if self.is_empty():
-            return StratumSelection.whole(self.universe)
-        return StratumSelection(
-            self.universe, _all_subsets(self.universe) - self.strata
-        )
 
     def is_whole(self) -> bool:
         return self.kind == "whole"

@@ -24,8 +24,8 @@ from .celestial import (
     manifest,
 )
 from .chow import ChowClass, ChowRing
-from .errors import PreconditionViolated, RingMismatch
-from .exactnum import RF_M, RationalFunction, rf
+from .errors import RingMismatch
+from .exactnum import RF_M, rf
 from .model import (
     BlowupStep,
     Component,
@@ -77,91 +77,6 @@ def check_key(config: NCConfig, selection: StratumSelection,
     return _compare("key", after, before, context)
 
 
-def _constant_span_coeffs(target: ChowClass, classes):
-    """Solve target = sum r_i * classes[i] with rational constants.
-
-    Returns the coefficient list, or None when the system has no
-    solution. Works over the codimension-1 basis coordinates.
-    """
-    ring = target.ring
-    names = [n for n in ring.all_names if ring.codim_of[n] == 1]
-    rows = len(names)
-    cols = len(classes)
-    matrix = [[Fraction(0)] * (cols + 1) for _ in range(rows)]
-    for j, cls in enumerate(classes):
-        for i, name in enumerate(names):
-            c = cls.coeffs.get(name)
-            matrix[i][j] = c.as_fraction() if c is not None else Fraction(0)
-    for i, name in enumerate(names):
-        c = target.coeffs.get(name)
-        matrix[i][cols] = c.as_fraction() if c is not None else Fraction(0)
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if matrix[r][col] != 0), None)
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        lead = matrix[row][col]
-        matrix[row] = [x / lead for x in matrix[row]]
-        for r in range(rows):
-            if r != row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, rows):
-        if matrix[r][cols] != 0:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        coeffs[col] = matrix[r][cols]
-    return coeffs
-
-
-def check_cov(config_x: NCConfig, config_y: NCConfig, krho: ChowClass = None,
-              chain_x=None, chain_y=None) -> CheckReport:
-    """Change of variables: the integral of a divisor with the source
-    bookkeeping equals the integral of the divisor corrected by the
-    relative canonical class with the dominated bookkeeping, once both
-    are manifested at a common stage.
-
-    config_x and config_y may live on different rings; chain_x and
-    chain_y must then manifest both integrals into the same target.
-    krho, when given, is the relative canonical class on config_y's
-    ring; it must decompose over config_y's component classes with
-    rational constant coefficients. When the two configurations share
-    one ring, components with the same name must carry equal total
-    multiplicities, since the correction moves orders between the
-    divisor and the discrepancy columns without changing totals.
-    """
-    if krho is not None:
-        if krho.ring is not config_y.ring:
-            raise RingMismatch("krho must live on the dominated-side ring")
-        if not (krho.is_zero() or krho.is_pure_codim(1)):
-            raise PreconditionViolated("krho must be a divisor class")
-        spans = _constant_span_coeffs(
-            krho, [c.divisor for c in config_y.components]
-        )
-        if spans is None:
-            raise PreconditionViolated(
-                "krho is not supported on the dominated-side components"
-            )
-    if config_x.ring is config_y.ring:
-        for name in config_x.names:
-            if name in config_y.by_name:
-                if config_x.by_name[name].mult != config_y.by_name[name].mult:
-                    raise PreconditionViolated(
-                        f"component {name!r} has mismatched total multiplicities"
-                    )
-    lhs = manifest(integrate_class(config_x, None), chain_x)
-    rhs = manifest(integrate_class(config_y, None), chain_y)
-    if lhs.ring is not rhs.ring:
-        raise RingMismatch("the two manifestations land in different rings")
-    context = f"source {_describe_config(config_x)} | dominated {_describe_config(config_y)}"
-    return _compare("cov", lhs, rhs, context)
-
-
 def check_denloe(config: DegreeConfig, steps,
                  selection: StratumSelection = None) -> CheckReport:
     """Degree-level invariance of the weighted Euler sum under point
@@ -192,47 +107,6 @@ def check_altexp(config: NCConfig) -> CheckReport:
     return CheckReport(
         "altexp", passed, form1.render(), rhs.render(), _describe_config(config)
     )
-
-
-def check_spell_elgen(data_x, data_y, i: int) -> CheckReport:
-    """Two divisors with one multiplicity table integrate identically,
-    and the twisted first-Chern actions agree to the i-th power.
-
-    Each side is (config at the common ring, pulled divisor class,
-    relative canonical class).
-    """
-    config_x, div_x, k_x = data_x
-    config_y, div_y, k_y = data_y
-    ring = config_x.ring
-    if config_y.ring is not ring or div_x.ring is not ring or div_y.ring is not ring \
-            or k_x.ring is not ring or k_y.ring is not ring:
-        raise RingMismatch("spell/elgen data must live at one common ring")
-    if i < 0:
-        raise PreconditionViolated("the action exponent must be >= 0")
-    if k_x + div_x != k_y + div_y:
-        raise PreconditionViolated(
-            "K + D must agree for the two sides at the common ring"
-        )
-    for config, div, k in ((config_x, div_x, k_x), (config_y, div_y, k_y)):
-        if config.total_divisor_class() != k + div:
-            raise PreconditionViolated(
-                "multiplicity-weighted component sum must equal K + D"
-            )
-    int_x = integrate_class(config_x, None)
-    int_y = integrate_class(config_y, None)
-    c1 = ring.require_tangent_chern().graded_piece(1)
-    elgen_x = c1 + k_x - div_y
-    elgen_y = c1 + k_y - div_x
-    acted_x = (elgen_x ** i) * int_x
-    acted_y = (elgen_y ** i) * int_y
-    lhs = f"integral={int_x.render()}; action^{i}={acted_x.render()}"
-    rhs = f"integral={int_y.render()}; action^{i}={acted_y.render()}"
-    passed = int_x == int_y and acted_x == acted_y
-    context = (
-        f"{_describe_config(config_x)}; deg lhs {acted_x.degree().render()}, "
-        f"deg rhs {acted_y.degree().render()}"
-    )
-    return CheckReport("spell_elgen", passed, lhs, rhs, context)
 
 
 def check_necfacts(base: ChowRing, divisors=()) -> list:
@@ -282,29 +156,6 @@ def check_necfacts(base: ChowRing, divisors=()) -> list:
             context + f"; {len(divisors)} divisor(s) through the center",
         ))
     return reports
-
-
-def check_can_degree(configs, expected=None) -> CheckReport:
-    """Degrees of the integrals of canonical representatives across
-    birational models; the set must be a single value (equal to the
-    expected one when given)."""
-    configs = list(configs)
-    degrees = []
-    for config in configs:
-        value = integrate_class(config, None).degree()
-        degrees.append(value.render())
-    observed = sorted(set(degrees))
-    lhs = "{" + ", ".join(observed) + "}"
-    if expected is not None:
-        if not isinstance(expected, RationalFunction):
-            expected = rf(Fraction(expected))
-        rhs = "{" + expected.render() + "}"
-    else:
-        rhs = lhs if len(observed) <= 1 else "{" + observed[0] + "}"
-    return CheckReport(
-        "can_degree", lhs == rhs, lhs, rhs,
-        f"{len(configs)} canonical model(s)",
-    )
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:
@@ -518,6 +369,3 @@ def run_suite(name: str, instances: int = 100, seed: int = DEFAULT_SEED) -> list
             out.append(r._replace(context=f"{r.context} [seed {instance_seed}]"))
     return out
 
-
-def run_all(instances: int = 100, seed: int = DEFAULT_SEED) -> dict:
-    return {name: run_suite(name, instances, seed) for name in sorted(SUITES)}

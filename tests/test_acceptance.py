@@ -15,7 +15,6 @@ from celint.celestial import (
     csm_set,
     manifest,
     stringy_class,
-    stringy_hypersurface,
     zeta_degree,
 )
 from celint.catalog import ring_blowup_point, ring_product, ring_projective
@@ -25,9 +24,10 @@ from celint.exactnum import RF_M, rf
 from celint.exprparse import parse_rf
 from celint.model import Component, NCConfig, StratumSelection
 from celint.modelfile import load_model
-from celint.verify import SUITES, check_spell_elgen, run_suite
+from celint.verify import SUITES, run_suite
 
 from conftest import read_fixture
+from oracles import check_spell_elgen, stringy_hypersurface
 
 
 SUITE_NAMES = (

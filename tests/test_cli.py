@@ -760,6 +760,28 @@ def test_chain_fault_is_a_presentation_error(tmp_path, capsys, chain, message):
         assert err == f"error: PresentationError: {message}\n"
 
 
+CURVE_COMPONENTS = [{"name": "A", "class": "h", "mult": "m"},
+                    {"name": "B", "class": "2*h", "mult": 3}]
+
+
+@pytest.mark.parametrize("ring, chains, argv", [
+    ({"catalog": "projective", "n": 1}, {}, ()),
+    ({"catalog": "blowup_point", "base": {"catalog": "projective", "n": 1},
+      "count": 2}, {"down": "construction"}, ()),
+    ({"catalog": "blowup_point", "base": {"catalog": "projective", "n": 1},
+      "count": 2}, {"down": "construction"}, ("--manifest", "down")),
+], ids=["plain", "blown-up", "blown-up-manifest"])
+def test_point_blowup_of_a_curve_changes_no_integral(tmp_path, capsys, ring,
+                                                     chains, argv):
+    # a point of a curve is a divisor already, so its blow-up is the
+    # curve itself and the construction chain is two identity maps
+    model = tmp_path / "curve.json"
+    model.write_text(json.dumps(
+        {"ring": ring, "components": CURVE_COMPONENTS, "chains": chains}))
+    code, out, err = run_cli(capsys, "integrate", model, *argv)
+    assert (code, out, err) == (0, "[V] - (-1 + m)/(2 + 2*m)*h\n", "")
+
+
 @pytest.mark.parametrize("text, message", [
     ("[h", "unterminated '[' at position 0 in '[h'"),
     ("[]", "empty '[]' name at position 0 in '[]'"),

@@ -28,17 +28,19 @@ from celint.modelfile import load_chain, load_model, ring_literal
 from celint.verify import (
     SUITES,
     check_altexp,
-    check_can_degree,
-    check_cov,
     check_denloe,
     check_key,
     check_necfacts,
-    check_spell_elgen,
-    run_all,
     run_suite,
 )
 
 from conftest import read_fixture
+from oracles import (
+    _constant_span_coeffs,
+    check_can_degree,
+    check_cov,
+    check_spell_elgen,
+)
 
 RF_M = parse_rf("m")
 P2 = ring_projective(2)
@@ -59,6 +61,24 @@ def test_check_key_center_off_components():
     sel = StratumSelection.from_closed(("D",), ["D"])
     report = check_key(config, sel, BlowupStep(frozenset(), "E"))
     assert report.passed
+
+
+P1 = ring_projective(1)
+
+
+@pytest.mark.parametrize("mult", [rf(3), RF_M], ids=["constant", "m-linear"])
+@pytest.mark.parametrize("selection", [
+    StratumSelection.whole(("A", "B")),
+    StratumSelection.from_closed(("A", "B"), ["A"]),
+    StratumSelection.from_strata(("A", "B"), [frozenset(), frozenset({"B"})]),
+], ids=["whole", "closed", "explicit"])
+def test_check_key_on_a_curve(selection, mult):
+    # the point blow-up of a curve is the curve itself, with an identity
+    # blow-down; the key identity must hold through it
+    config = NCConfig(P1, [Component("A", mult, P1.basis_class("h")),
+                           Component("B", rf(3), P1.basis_class("h").scale(rf(2)))])
+    for contains in (frozenset(), frozenset({"A"})):
+        assert check_key(config, selection, BlowupStep(contains, "E")).passed
 
 
 def test_check_cov_identity():
@@ -111,7 +131,7 @@ def test_check_cov_solves_krho_over_the_components(classes, krho, spans):
                            for i, text in enumerate(classes)])
     krho = parse_class(krho, bl)
     divisors = [c.divisor for c in config.components]
-    assert verify._constant_span_coeffs(krho, divisors) == spans
+    assert _constant_span_coeffs(krho, divisors) == spans
     if spans is None:
         with pytest.raises(PreconditionViolated, match="not supported"):
             check_cov(config, config, krho=krho)
@@ -312,11 +332,15 @@ def test_suite_unknown_name():
         run_suite("bogus", instances=1)
 
 
-def test_run_all_covers_every_suite():
-    results = run_all(instances=2, seed=5)
-    assert sorted(results) == sorted(SUITES)
-    for name, reports in results.items():
-        assert all(r.passed for r in reports), name
+def test_every_checker_in_the_package_runs_in_a_suite():
+    # checkers that no suite runs belong with the test oracles
+    called = set()
+    for instance_fn in SUITES.values():
+        called.update(instance_fn.__code__.co_names)
+    checkers = {name for name, value in vars(verify).items()
+                if name.startswith("check_") and callable(value)}
+    assert checkers, "no checkers found"
+    assert checkers <= called, sorted(checkers - called)
 
 
 def test_necfacts_suite_emits_multiple_reports():
