@@ -12,82 +12,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chow import ChowClass, PushForwardMap
+from .chow import ChowClass
 from .errors import (
     MissingDecomposition,
     PreconditionViolated,
     RingMismatch,
     SchemaError,
+    ZeroDenominator,
 )
-from .exactnum import (
-    RF_ONE,
-    RF_ZERO,
-    PoleReport,
-    RationalFunction,
-    as_fraction,
-    rf,
-)
-from .model import (
-    DegreeConfig,
-    FiberedConfig,
-    NCConfig,
-    StratumSelection,
-    stratum_sum,
-    weight,
-)
+from .exactnum import RF_ONE, PoleReport, RationalFunction, stratum_sum
+from .model import DegreeConfig, FiberedConfig, NCConfig, StratumSelection
 
 
 class ConstructibleFunction:
-    """Rational-function values attached to named base strata."""
+    """Rational-function values attached to named base strata, as the
+    (label, value) pairs of `entries`."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = tuple((str(label), rf(value)) for label, value in entries)
-        labels = [label for label, _ in self.entries]
-        if len(set(labels)) != len(labels):
-            raise SchemaError(f"duplicate stratum label in {labels}")
-
-    def value(self, label: str) -> RationalFunction:
-        for name, v in self.entries:
-            if name == label:
-                return v
-        raise SchemaError(f"unknown stratum {label!r}")
-
-    def labels(self):
-        return tuple(name for name, _ in self.entries)
-
-    def paired_total(self, chis: dict) -> RationalFunction:
-        """Sum of value * Euler characteristic over the strata."""
-        total = RF_ZERO
-        for name, v in self.entries:
-            if name not in chis:
-                raise SchemaError(f"no Euler characteristic given for {name!r}")
-            total = total + v * rf(as_fraction(chis[name]))
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConstructibleFunction)
-            and dict(self.entries) == dict(other.entries)
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.entries))
+        self.entries = tuple(entries)
 
     def render(self) -> str:
         return "\n".join(f"{name}: {v.render()}" for name, v in self.entries)
 
 
 def manifest(c: ChowClass, chain) -> ChowClass:
-    """Push a class through a chain: None, one map or a sequence of maps
-    that compose; the empty chain is the identity."""
-    if chain is None:
-        maps = ()
-    elif isinstance(chain, PushForwardMap):
-        maps = (chain,)
-    else:
-        maps = tuple(chain)
+    """Push a class through a chain: None or a sequence of maps that
+    compose; the empty chain is the identity."""
+    maps = () if chain is None else tuple(chain)
     for first, second in zip(maps, maps[1:]):
         if first.target is not second.source:
             raise RingMismatch("chain maps do not compose")
@@ -117,6 +70,17 @@ def _one_plus_product(ring, classes) -> ChowClass:
     for x in classes:
         total = total * (one + x)
     return total
+
+
+def weight(mult: RationalFunction):
+    """The weight 1/(1+m) of a multiplicity m: a Fraction when m is a
+    constant, where m = -1 raises ZeroDenominator, else a RationalFunction."""
+    if mult.is_constant():
+        q = mult.as_fraction()
+        if q == -1:
+            raise ZeroDenominator("rational function with zero denominator")
+        return 1 / (1 + q)
+    return RF_ONE / (RF_ONE + mult)
 
 
 def _selection_for(config, selection) -> StratumSelection:
@@ -302,11 +266,19 @@ def csm_set(config: NCConfig, selection: StratumSelection = None,
 def ix_function(config: FiberedConfig,
                 selection: StratumSelection = None) -> ConstructibleFunction:
     """The stratumwise constructible function of a fibered configuration,
-    over its stored selection unless another one is given."""
-    if selection is not None:
+    over its stored selection unless another one is given: at each base
+    stratum, the fiber Euler characteristics of the selected open strata
+    E_I weighted by prod_{i in I} 1/(1+m_i)."""
+    if selection is None:
+        selection = config.selection
+    else:
         selection = _selection_for(config, selection)
     return ConstructibleFunction(
-        (label, config.value_at(label, selection)) for label in config.base_strata
+        (label, stratum_sum(
+            ((index, c) for (lab, index), c in config.fiber.items()
+             if lab == label and index in selection),
+            config.mults))
+        for label in config.base_strata
     )
 
 

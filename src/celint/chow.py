@@ -36,6 +36,7 @@ from .exactnum import (
     RF_ZERO,
     RationalFunction,
     as_fraction,
+    cleared,
     join_terms,
     power,
     rf,
@@ -485,11 +486,9 @@ def _fill(self: ChowClass, ring: ChowRing, values: dict):
     _set(self, "ring", ring)
     _set(self, "_coeffs", clean)
     if all(map(RationalFunction.is_constant, clean.values())):
-        fracs = {n: c.as_fraction() for n, c in clean.items()}
-        den = lcm(*(q.denominator for q in fracs.values()))
+        den, ints = cleared([c.as_fraction() for c in clean.values()])
         _set(self, "_den", den)
-        _set(self, "_ints", {
-            n: q.numerator * (den // q.denominator) for n, q in fracs.items()})
+        _set(self, "_ints", dict(zip(clean, ints)))
     else:
         _set(self, "_den", None)
         _set(self, "_ints", None)

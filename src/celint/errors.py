@@ -27,14 +27,9 @@ class DivisionByZero(CelintError):
 
 
 class PoleError(CelintError):
-    """Evaluation at a point where the denominator vanishes but the numerator does not."""
+    """Evaluation at a root of the denominator.
 
-
-class IndeterminateError(CelintError):
-    """Evaluation at a common root of numerator and denominator of a reduced form.
-
-    Only reachable through user-supplied unreduced data; reduced forms
-    cancel common roots by construction.
+    Values are reduced, so the numerator does not vanish there too.
     """
 
 

@@ -16,20 +16,23 @@ monic constant denominator is 1, which is coprime to every numerator,
 so sums and products of two polynomial values, negations and
 nonnegative powers are built through it without a gcd. A quotient of
 two constants is taken in `Fraction`s.
+
+The module is also the home of integer arithmetic. `cleared` puts a
+sequence of Fractions over the lcm of their denominators; evaluation,
+rendering, the pole search, `stratum_sum` and the integer form of
+constant Chow classes read their integers through it. `stratum_sum`, the
+degree-level kernel behind the degree, zeta, stratumwise and explicit
+class-level integrals, sums and reduces over integer coefficient lists
+and builds one canonical RationalFunction at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
-from math import isqrt, lcm as _ilcm
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 
-from .errors import (
-    DivisionByZero,
-    IndeterminateError,
-    PoleError,
-    ZeroDenominator,
-)
+from .errors import DivisionByZero, PoleError, ZeroDenominator
 
 
 def as_fraction(x) -> Fraction:
@@ -38,6 +41,13 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational number, got {type(x).__name__}")
+
+
+def cleared(fractions) -> tuple:
+    """(d, ints) for a sequence of Fractions: d is the lcm of their
+    denominators (1 for none) and ints their numerators over d."""
+    d = lcm(*(q.denominator for q in fractions))
+    return d, [q.numerator * (d // q.denominator) for q in fractions]
 
 
 def _fraction_str(c: Fraction) -> str:
@@ -200,10 +210,10 @@ class Polynomial:
         if not self.coeffs:
             return Fraction(0)
         u, v = x.numerator, x.denominator
-        scale = _ilcm(*(c.denominator for c in self.coeffs))
+        scale, ints = cleared(self.coeffs)
         acc, w = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * u + c.numerator * (scale // c.denominator) * w
+        for c in reversed(ints):
+            acc = acc * u + c * w
             w *= v
         return Fraction(acc, scale * (w // v))
 
@@ -378,28 +388,21 @@ class RationalFunction:
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
+        # num and den are coprime, so they share no root
         d = self.den.evaluate(x)
         if d == 0:
-            n = self.num.evaluate(x)
-            if n == 0:
-                raise IndeterminateError(
-                    f"indeterminate value of {self} at m = {x}"
-                )
             raise PoleError(f"{self} has a pole at m = {x}")
         return self.num.evaluate(x) / d
 
     def _integer_cleared(self):
-        """Return (num, den) scaled to integer coefficients with trivial common content."""
-        denoms = [c.denominator for c in self.num.coeffs + self.den.coeffs]
-        scale = _ilcm(*denoms) if denoms else 1
-        n = self.num.scale(scale)
-        d = self.den.scale(scale)
-        nums = [abs(c.numerator) for c in n.coeffs + d.coeffs if c != 0]
-        g = _igcd(*nums) if nums else 1
-        if g > 1:
-            n = n.scale(Fraction(1, g))
-            d = d.scale(Fraction(1, g))
-        return n, d
+        """(num, den) scaled by the lcm of all their coefficients'
+        denominators to integer coefficients. Their common content is 1:
+        for each prime power p^e of the lcm, some coefficient's
+        denominator holds p^e and p does not divide its scaled numerator,
+        and the monic den's leading coefficient scales to the lcm itself."""
+        _, ints = cleared(self.num.coeffs + self.den.coeffs)
+        k = len(self.num.coeffs)
+        return Polynomial(ints[:k]), Polynomial(ints[k:])
 
     def render(self) -> str:
         if self.is_zero():
@@ -485,8 +488,7 @@ def rational_poles(f: RationalFunction) -> PoleReport:
     den = f.den
     if den.degree < 1:
         return PoleReport(frozenset())
-    scale = _ilcm(*[c.denominator for c in den.coeffs])
-    ints = [int(c * scale) for c in den.coeffs]
+    _, ints = cleared(den.coeffs)
     poles = set()
     low = 0
     while ints[low] == 0:
@@ -509,3 +511,133 @@ def rational_poles(f: RationalFunction) -> PoleReport:
             leftover = leftover.div_exact(linear)
     factors = leftover.squarefree_factors() if leftover.degree >= 1 else ()
     return PoleReport(frozenset(poles), tuple(base for base, _ in factors))
+
+
+def _int_mul(a: list, b: list) -> list:
+    """Product of two integer coefficient lists, by ascending exponent."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        for i, x in enumerate(a):
+            out[i + j] += x * y
+    return out
+
+
+def _primitive(a: list) -> tuple:
+    """Content and primitive part of a nonzero integer list, trailing zeros
+    dropped."""
+    a = list(a)
+    while not a[-1]:
+        a.pop()
+    c = gcd(*a)
+    return c, [x // c for x in a]
+
+
+def _remainder(a: list, b: list) -> list:
+    """Primitive part of a pseudo-remainder of a by b, both integer lists
+    with b nonzero and stripped; [] when b divides a. A step scales the
+    running remainder by a factor of b's leading coefficient only when
+    its own leading coefficient is not a multiple of it."""
+    r, lead = list(a), b[-1]
+    while len(r) >= len(b):
+        c = r[-1]
+        if c % lead:
+            f = lead // gcd(c, lead)
+            r = [x * f for x in r]
+            c *= f
+        t, shift = c // lead, len(r) - len(b)
+        for j, y in enumerate(b):
+            r[shift + j] -= t * y
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)[1] if r else []
+
+
+def _quotient(a: list, b: list) -> list:
+    """a / b for integer lists, b primitive and dividing a exactly, so
+    (Gauss) every quotient coefficient is an integer."""
+    r, lead = list(a), b[-1]
+    out = [0] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(out))):
+        t = out[shift] = r[shift + len(b) - 1] // lead
+        for j, y in enumerate(b):
+            r[shift + j] -= t * y
+    return out
+
+
+def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
+    """Sum of c * prod_{i in I} x_i over the (I, c) in terms, with
+    x_i = 1/(1+m_i), or x_i = 1/(1+m_i) - 1 = -m_i/(1+m_i) when less_one.
+    An index set may occur more than once.
+
+    The sum runs in integers. With m_i = n_i/d_i and both cleared by one
+    scale, x_i = p_i/q_i for p_i = d_i (or -n_i) and q_i = d_i + n_i, of
+    degree 0 when m_i is constant. Over D * prod_i q_i, with D the lcm of
+    the denominators of the c, a term adds c*D times p_i for i in I and
+    q_i for i outside I. Constant names fold into that integer; the terms
+    are grouped by their m-dependent names, which are then eliminated in
+    turn, each group multiplied by p_i or q_i and merged with the group
+    that differs from it only at i.
+
+    A common factor of the sum and its denominator divides some q_i, so
+    the reduction takes each m-dependent q_i in turn: its content joins
+    the integer part of the denominator, and g = gcd(num, q_i) comes from
+    the pseudo-remainder of num by q_i (a division test when q_i is
+    linear); num and q_i are divided by g. No gcd runs on num itself.
+    """
+    terms = [(index, as_fraction(c)) for index, c in terms if c]
+    scale, ks = cleared([c for _, c in terms])
+    den, fold, bits, factors = scale, [], {}, []
+    for name in sorted(set().union(*(index for index, _ in terms))):
+        mult = mults[name]
+        split = len(mult.num.coeffs)
+        _, ints = cleared(mult.num.coeffs + mult.den.coeffs)
+        n, d = ints[:split], ints[split:]
+        p = [-c for c in n] if less_one else d
+        q = [a + b for a, b in zip_longest(d, n, fillvalue=0)]
+        if len(q) > 1:
+            bits[name] = 1 << len(factors)
+            factors.append((p, q))
+        elif q[0]:
+            fold.append((name, p[0] if p else 0, q[0]))
+            den *= q[0]
+        else:
+            raise ZeroDenominator("rational function with zero denominator")
+    groups = {}
+    for (index, _), k in zip(terms, ks):
+        for name, p, q in fold:
+            k *= p if name in index else q
+        key = 0
+        for name in index:
+            key |= bits.get(name, 0)
+        groups[key] = groups.get(key, 0) + k
+    groups = {key: [k] for key, k in groups.items() if k}
+    for i, (p, q) in enumerate(factors):
+        merged = {}
+        for key, poly in groups.items():
+            poly = _int_mul(poly, p if key >> i & 1 else q)
+            rest = key & ~(1 << i)
+            other = merged.get(rest)
+            merged[rest] = [a + b for a, b in zip_longest(
+                other, poly, fillvalue=0)] if other else poly
+        groups = merged
+    num = groups.get(0, [])
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return RF_ZERO
+    kept = [1]
+    for _, q in factors:
+        content, q = _primitive(q)
+        den *= content
+        g, r = q, _remainder(num, q)
+        while len(r) > 1:
+            g, r = r, _remainder(g, r)
+        if not r:
+            num, q = _quotient(num, g), _quotient(q, g)
+        kept = _int_mul(kept, q)
+    lead = den * kept[-1]
+    return RationalFunction._make(
+        Polynomial._make([Fraction(c, lead) for c in num]),
+        Polynomial._make([Fraction(c, kept[-1]) for c in kept]))

@@ -1,12 +1,17 @@
 """Resolution data: divisor configurations, stratum selections, transports.
 
-A configuration is a list of labeled divisor components on a ring, each
-with a multiplicity in Q(m). A stratum selection names the index sets
-I whose open strata E_I participate in an integral. Both kinds of data
-can be rewritten under a point blow-up without changing any invariant;
-the transports here implement that rewriting at class level and, for
-surfaces, at the level of Euler characteristic tables alone. Model
-files are read by `celint.modelfile`.
+A configuration is a list of labeled divisor components with
+multiplicities in Q(m): on a ring (`NCConfig`), with an Euler
+characteristic table of closed strata (`DegreeConfig`, read through
+`chi_open`), or with fiber Euler characteristics over a stratified base
+(`FiberedConfig`). A stratum selection names the index sets I whose
+open strata E_I participate in an integral. Both kinds of data can be
+rewritten under a point blow-up without changing any invariant; the
+transports here implement that rewriting at class level and, for
+surfaces, at the level of Euler characteristic tables alone. The
+module holds data and its validation only: the integrals are computed
+in `celint.celestial` and `celint.exactnum`, and model files are read
+by `celint.modelfile`.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, combinations, zip_longest
-from math import gcd, lcm
+from itertools import chain, combinations
 
 from .catalog import ring_blowup_point
 from .chow import ChowClass, ChowRing
@@ -27,17 +31,8 @@ from .errors import (
     SchemaError,
     UndefinedMultiplicity,
     UniverseMismatch,
-    ZeroDenominator,
 )
-from .exactnum import (
-    RF_M,
-    RF_ONE,
-    RF_ZERO,
-    Polynomial,
-    RationalFunction,
-    as_fraction,
-    rf,
-)
+from .exactnum import RF_M, RationalFunction, as_fraction, rf
 
 
 class Component(namedtuple(
@@ -299,148 +294,6 @@ def _classify(count: int, strata: frozenset):
     return "explicit", frozenset()
 
 
-def weight(mult: RationalFunction):
-    """The weight 1/(1+m) of a multiplicity m: a Fraction when m is a
-    constant, where m = -1 raises ZeroDenominator, else a RationalFunction."""
-    if mult.is_constant():
-        q = mult.as_fraction()
-        if q == -1:
-            raise ZeroDenominator("rational function with zero denominator")
-        return 1 / (1 + q)
-    return RF_ONE / (RF_ONE + mult)
-
-
-def _int_mul(a: list, b: list) -> list:
-    """Product of two integer coefficient lists, by ascending exponent."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
-        for i, x in enumerate(a):
-            out[i + j] += x * y
-    return out
-
-
-def _primitive(a: list) -> tuple:
-    """Content and primitive part of a nonzero integer list, trailing zeros
-    dropped."""
-    a = list(a)
-    while not a[-1]:
-        a.pop()
-    c = gcd(*a)
-    return c, [x // c for x in a]
-
-
-def _remainder(a: list, b: list) -> list:
-    """Primitive part of a pseudo-remainder of a by b, both integer lists
-    with b nonzero and stripped; [] when b divides a. A step scales the
-    running remainder by a factor of b's leading coefficient only when
-    its own leading coefficient is not a multiple of it."""
-    r, lead = list(a), b[-1]
-    while len(r) >= len(b):
-        c = r[-1]
-        if c % lead:
-            f = lead // gcd(c, lead)
-            r = [x * f for x in r]
-            c *= f
-        t, shift = c // lead, len(r) - len(b)
-        for j, y in enumerate(b):
-            r[shift + j] -= t * y
-        while r and not r[-1]:
-            r.pop()
-    return _primitive(r)[1] if r else []
-
-
-def _quotient(a: list, b: list) -> list:
-    """a / b for integer lists, b primitive and dividing a exactly, so
-    (Gauss) every quotient coefficient is an integer."""
-    r, lead = list(a), b[-1]
-    out = [0] * (len(a) - len(b) + 1)
-    for shift in reversed(range(len(out))):
-        t = out[shift] = r[shift + len(b) - 1] // lead
-        for j, y in enumerate(b):
-            r[shift + j] -= t * y
-    return out
-
-
-def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
-    """Sum of c * prod_{i in I} x_i over the (I, c) in terms, with
-    x_i = 1/(1+m_i), or x_i = 1/(1+m_i) - 1 = -m_i/(1+m_i) when less_one.
-    An index set may occur more than once.
-
-    The sum runs in integers. With m_i = n_i/d_i and both cleared by one
-    scale, x_i = p_i/q_i for p_i = d_i (or -n_i) and q_i = d_i + n_i, of
-    degree 0 when m_i is constant. Over D * prod_i q_i, with D the lcm of
-    the denominators of the c, a term adds c*D times p_i for i in I and
-    q_i for i outside I. Constant names fold into that integer; the terms
-    are grouped by their m-dependent names, which are then eliminated in
-    turn, each group multiplied by p_i or q_i and merged with the group
-    that differs from it only at i.
-
-    A common factor of the sum and its denominator divides some q_i, so
-    the reduction takes each m-dependent q_i in turn: its content joins
-    the integer part of the denominator, and g = gcd(num, q_i) comes from
-    the pseudo-remainder of num by q_i (a division test when q_i is
-    linear); num and q_i are divided by g. No gcd runs on num itself.
-    """
-    terms = [(index, as_fraction(c)) for index, c in terms if c]
-    scale = lcm(*(c.denominator for _, c in terms))
-    den, fold, bits, factors = scale, [], {}, []
-    for name in sorted(set().union(*(index for index, _ in terms))):
-        mult = mults[name]
-        clear = lcm(*(c.denominator for c in mult.num.coeffs + mult.den.coeffs))
-        n, d = ([c.numerator * (clear // c.denominator) for c in part.coeffs]
-                for part in (mult.num, mult.den))
-        p = [-c for c in n] if less_one else d
-        q = [a + b for a, b in zip_longest(d, n, fillvalue=0)]
-        if len(q) > 1:
-            bits[name] = 1 << len(factors)
-            factors.append((p, q))
-        elif q[0]:
-            fold.append((name, p[0] if p else 0, q[0]))
-            den *= q[0]
-        else:
-            raise ZeroDenominator("rational function with zero denominator")
-    groups = {}
-    for index, c in terms:
-        k = c.numerator * (scale // c.denominator)
-        for name, p, q in fold:
-            k *= p if name in index else q
-        key = 0
-        for name in index:
-            key |= bits.get(name, 0)
-        groups[key] = groups.get(key, 0) + k
-    groups = {key: [k] for key, k in groups.items() if k}
-    for i, (p, q) in enumerate(factors):
-        merged = {}
-        for key, poly in groups.items():
-            poly = _int_mul(poly, p if key >> i & 1 else q)
-            rest = key & ~(1 << i)
-            other = merged.get(rest)
-            merged[rest] = [a + b for a, b in zip_longest(
-                other, poly, fillvalue=0)] if other else poly
-        groups = merged
-    num = groups.get(0, [])
-    while num and not num[-1]:
-        num.pop()
-    if not num:
-        return RF_ZERO
-    kept = [1]
-    for _, q in factors:
-        content, q = _primitive(q)
-        den *= content
-        g, r = q, _remainder(num, q)
-        while len(r) > 1:
-            g, r = r, _remainder(g, r)
-        if not r:
-            num, q = _quotient(num, g), _quotient(q, g)
-        kept = _int_mul(kept, q)
-    lead = den * kept[-1]
-    return RationalFunction._make(
-        Polynomial._make([Fraction(c, lead) for c in num]),
-        Polynomial._make([Fraction(c, kept[-1]) for c in kept]))
-
-
 def chi_open(chi_closed: dict, index: frozenset) -> Fraction:
     """Euler characteristic of the open stratum, from the closed table.
 
@@ -521,20 +374,6 @@ class FiberedConfig:
                     f"fiber entry at {label!r} names unknown components {sorted(index)}"
                 )
             self.fiber[(label, index)] = as_fraction(value)
-
-    def value_at(self, label: str,
-                 selection: StratumSelection = None) -> RationalFunction:
-        """The weighted fiber sum at one stratum, over the stored
-        selection unless another one (on the same universe) is given."""
-        if label not in self.base_strata:
-            raise SchemaError(f"unknown stratum {label!r}")
-        if selection is None:
-            selection = self.selection
-        return stratum_sum(
-            ((index, c) for (lab, index), c in self.fiber.items()
-             if lab == label and index in selection),
-            self.mults,
-        )
 
 
 class BlowupStep(namedtuple("BlowupStep", "contains new_name")):

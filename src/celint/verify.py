@@ -21,7 +21,6 @@ from .celestial import (
     csm_stratum,
     integrate_class,
     integrate_degree,
-    manifest,
 )
 from .chow import ChowClass, ChowRing
 from .errors import RingMismatch

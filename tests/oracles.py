@@ -1,15 +1,16 @@
 """The paper's fixed-input corollaries, as test oracles.
 
 Change of variables with a relative canonical class, the spell/elgen
-identity, canonical degrees, the stringy hypersurface closed form and
-proper transforms under a point blow-up. No verb or `verify` suite
+identity, canonical degrees, the stringy hypersurface closed form,
+proper transforms under a point blow-up and the pairing of a
+stratumwise function with Euler characteristics. No verb or `verify` suite
 needs them; the tests check the program's answers against them. The
 checkers report in the form of `celint.verify`'s own checkers.
 """
 
 from fractions import Fraction
 
-from celint.celestial import integrate_class, manifest
+from celint.celestial import ConstructibleFunction, integrate_class, manifest
 from celint.chow import ChowClass, PushForwardMap
 from celint.errors import (
     NotADivisor,
@@ -18,7 +19,7 @@ from celint.errors import (
     RingMismatch,
     SchemaError,
 )
-from celint.exactnum import RationalFunction, rf
+from celint.exactnum import RationalFunction, as_fraction, rf
 from celint.model import NCConfig
 from celint.verify import CheckReport, _compare, _describe_config
 
@@ -81,7 +82,8 @@ def check_cov(config_x: NCConfig, config_y: NCConfig, krho: ChowClass = None,
     are manifested at a common stage.
 
     config_x and config_y may live on different rings; chain_x and
-    chain_y must then manifest both integrals into the same target.
+    chain_y, lists of maps, must then manifest both integrals into the
+    same target.
     krho, when given, is the relative canonical class on config_y's
     ring; it must decompose over config_y's component classes with
     rational constant coefficients. When the two configurations share
@@ -215,3 +217,13 @@ def proper_transform(f: PushForwardMap, e: ChowClass, divisor: ChowClass,
     if not divisor.is_pure_codim(1):
         raise NotADivisor("proper transform applies to codimension-1 classes only")
     return f.pull(divisor) - e.scale(rf(center_multiplicity))
+
+
+def paired_total(fn: ConstructibleFunction, chis: dict) -> RationalFunction:
+    """Sum of value * Euler characteristic over the strata of fn."""
+    total = rf(0)
+    for name, v in fn.entries:
+        if name not in chis:
+            raise SchemaError(f"no Euler characteristic given for {name!r}")
+        total = total + v * rf(as_fraction(chis[name]))
+    return total

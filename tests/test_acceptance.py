@@ -118,15 +118,15 @@ def test_criterion_06_stratumwise_function():
     model = load_model(read_fixture("idsex.json"))
     one_over = parse_rf("1/(1 + m)")
 
-    fn = ix_function(model.fibered)
-    assert fn.value("X_off_D") == rf(1)
-    assert fn.value("D") == rf(1) - RF_M * one_over
-    assert fn.value("D") == one_over
+    values = dict(ix_function(model.fibered).entries)
+    assert values["X_off_D"] == rf(1)
+    assert values["D"] == rf(1) - RF_M * one_over
+    assert values["D"] == one_over
 
     closed_d = StratumSelection.from_closed(model.fibered.names, ["D"])
-    restricted = ix_function(model.fibered, closed_d)
-    assert restricted.value("X_off_D") == rf(0)
-    assert restricted.value("D") == one_over
+    restricted = dict(ix_function(model.fibered, closed_d).entries)
+    assert restricted["X_off_D"] == rf(0)
+    assert restricted["D"] == one_over
     note(6, "function is 1_X - (m/(1+m)) 1_D, and 1_S - (m/(1+m)) 1_(S and D) under S")
 
 

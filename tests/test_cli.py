@@ -388,6 +388,19 @@ def test_facades_keep_only_the_names_the_benchmark_reads():
                     if isinstance(n, (ast.Import, ast.ImportFrom))], fn.name
 
 
+def test_no_module_imports_private_names_of_another():
+    # private helpers, such as the integer lists of exactnum, stay in
+    # the module that defines them
+    borrowed = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "celint"):
+                borrowed += [f"{path.stem}: {node.module}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+    assert not borrowed
+
+
 BENCHMARK_IMPORTS = """
 import ast, importlib, sys
 from pathlib import Path

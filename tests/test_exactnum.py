@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from celint.errors import (
 from celint.exactnum import (
     Polynomial,
     RationalFunction,
+    cleared,
     rational_poles,
     rf,
 )
@@ -78,6 +80,14 @@ def test_polynomial_evaluate():
             for c in reversed(p.coeffs):
                 want = want * x + c
             assert p.evaluate(x) == want
+
+
+def test_cleared():
+    assert cleared([]) == (1, [])
+    assert cleared([Fraction(3)]) == (1, [3])
+    assert cleared((Fraction(1, 4), Fraction(-5, 6), Fraction(0), Fraction(7))) == (
+        12, [3, -10, 0, 84])
+    assert cleared([Fraction(2, 3), Fraction(-4, 9)]) == (9, [6, -4])
 
 
 def test_squarefree_factors():
@@ -336,6 +346,18 @@ def test_polynomial_fast_paths_match_plain_lists(a, b):
         quo, rem = p.divmod(q)
         assert quo * q + rem == p
         assert rem.degree < q.degree
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_rational_functions())
+def test_integer_cleared_has_content_one(f):
+    # the lcm scale alone leaves no common factor, so rendering needs no
+    # content step
+    n, d = f._integer_cleared()
+    ints = [c.numerator for c in n.coeffs + d.coeffs]
+    assert all(c.denominator == 1 for c in n.coeffs + d.coeffs)
+    assert gcd(*ints) == 1
+    assert RationalFunction(n, d) == f
 
 
 def test_equal_values_by_different_routes_hash_alike():

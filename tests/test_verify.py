@@ -95,7 +95,7 @@ def test_check_cov_across_rings():
     bl, down, e = ring_blowup_point(P2)
     corrected = NCConfig(bl, [Component("E", rf(1), bl.basis_class("e1"))])
     report = check_cov(
-        plain, corrected, krho=bl.basis_class("e1"), chain_y=down
+        plain, corrected, krho=bl.basis_class("e1"), chain_y=[down]
     )
     assert report.passed
     assert report.lhs == P2.require_tangent_chern().render()
@@ -106,12 +106,12 @@ def test_check_cov_rejections():
     bl, down, e = ring_blowup_point(P2)
     corrected = NCConfig(bl, [Component("E", rf(1), bl.basis_class("e1"))])
     with pytest.raises(RingMismatch):
-        check_cov(plain, corrected, krho=P2.basis_class("h"), chain_y=down)
+        check_cov(plain, corrected, krho=P2.basis_class("h"), chain_y=[down])
     with pytest.raises(PreconditionViolated):
-        check_cov(plain, corrected, krho=bl.one(), chain_y=down)
+        check_cov(plain, corrected, krho=bl.one(), chain_y=[down])
     with pytest.raises(PreconditionViolated):
         # h is not spanned by the single component e1
-        check_cov(plain, corrected, krho=bl.basis_class("h"), chain_y=down)
+        check_cov(plain, corrected, krho=bl.basis_class("h"), chain_y=[down])
     with pytest.raises(RingMismatch):
         check_cov(plain, corrected)
     a = NCConfig(P2, [Component("D", RF_M, P2.basis_class("h"))])
