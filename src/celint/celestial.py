@@ -18,9 +18,8 @@ from .errors import (
     PreconditionViolated,
     RingMismatch,
     SchemaError,
-    ZeroDenominator,
 )
-from .exactnum import RF_ONE, PoleReport, RationalFunction, stratum_sum
+from .exactnum import RF_ONE, RF_ZERO, PoleReport, RationalFunction, stratum_sum
 from .model import DegreeConfig, FiberedConfig, NCConfig, StratumSelection
 
 
@@ -52,35 +51,17 @@ def manifest(c: ChowClass, chain) -> ChowClass:
 
 
 def log_chern(config: NCConfig) -> ChowClass:
-    """c(TV) divided by the product of (1 + E_j) over the components:
-    c + 1 class products and one inverse."""
+    """c(TV) divided by the product of (1 + E_j) over the components. The
+    divisors are constant, so the product is one integer `times_one_plus`
+    pass (p = q = 1) and one inverse; Q(m) never enters."""
     # configurations never change after construction, so the class is
     # computed once and kept on the configuration
     if config._log_chern is None:
-        product = _one_plus_product(
-            config.ring, (comp.divisor for comp in config.components))
-        config._log_chern = config.ring.require_tangent_chern() * product.inverse()
+        ring = config.ring
+        product = ring.one().times_one_plus(
+            (1, 1, comp.divisor) for comp in config.components)
+        config._log_chern = ring.require_tangent_chern() * product.inverse()
     return config._log_chern
-
-
-def _one_plus_product(ring, classes) -> ChowClass:
-    """The product of 1 + x over the classes x of ring."""
-    one = ring.one()
-    total = one
-    for x in classes:
-        total = total * (one + x)
-    return total
-
-
-def weight(mult: RationalFunction):
-    """The weight 1/(1+m) of a multiplicity m: a Fraction when m is a
-    constant, where m = -1 raises ZeroDenominator, else a RationalFunction."""
-    if mult.is_constant():
-        q = mult.as_fraction()
-        if q == -1:
-            raise ZeroDenominator("rational function with zero denominator")
-        return 1 / (1 + q)
-    return RF_ONE / (RF_ONE + mult)
 
 
 def _selection_for(config, selection) -> StratumSelection:
@@ -90,45 +71,62 @@ def _selection_for(config, selection) -> StratumSelection:
     return selection
 
 
+def _weighted_product(config: NCConfig, names, start: ChowClass) -> ChowClass:
+    """start times F_i = 1 + E_i/(1+m_i) over names. A constant m_i = a/b
+    gives F_i = 1 + (p/q)*E_i with p = b and q = a + b, and these factors
+    are taken first, in integers; the m-dependent ones follow in Q(m)."""
+    one = config.ring.one()
+    constant, dependent = [], []
+    for name in names:
+        mult = config.mult_of(name)
+        if mult.is_constant():
+            m = mult.as_fraction()
+            constant.append(
+                (m.denominator, m.numerator + m.denominator, config.divisor_of(name)))
+        else:
+            dependent.append(name)
+    if start.is_constant():
+        total = start.times_one_plus(constant)
+    else:
+        total = start * one.times_one_plus(constant)
+    for name in dependent:
+        weight = RF_ONE / (RF_ONE + config.mult_of(name))
+        total = total * (one + config.divisor_of(name).scale(weight))
+    return total
+
+
 def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
     """Sum over selected index sets I of the product of E_i/(1+m_i), i in I.
 
     With F_i = 1 + E_i/(1+m_i), the whole selection is the product of
     all F_i, and closed(L) is the product of F_i over i outside L times
-    (the product over L, minus 1): c + 1 class products in all. A
-    constant multiplicity gives a Fraction weight, so with constant
-    multiplicities these products stay in integer form. An
-    explicit selection costs one integer class product E_I per listed
-    index set, and then one `stratum_sum` per basis name over the
-    constant coefficients of the E_I; sets with more members than the
-    dimension are skipped, since their products vanish.
+    (the product over L, minus 1). The factors with constant m_i are
+    multiplied in integers, one `times_one_plus` pass per product, and
+    Q(m) enters only with the m-dependent factors, one class product
+    each. An explicit selection costs one integer class product E_I per
+    listed index set, skipping sets with more members than the
+    dimension, whose products vanish; one `stratum_sum` call then sums
+    the constant coefficients of the E_I by basis name.
     """
     selection = _selection_for(config, selection)
     ring = config.ring
-
-    def factors(names):
-        return _one_plus_product(ring, (
-            config.divisor_of(name).scale(weight(config.mult_of(name)))
-            for name in names))
-
     if selection.kind == "whole":
-        return factors(config.names)
+        return _weighted_product(config, config.names, ring.one())
     if selection.kind == "closed":
         core = selection.core
-        outside = factors(n for n in config.names if n not in core)
-        inside = factors(n for n in config.names if n in core)
-        return outside * (inside - ring.one())
-    terms = {}
+        inside = _weighted_product(
+            config, (n for n in config.names if n in core), ring.one())
+        return _weighted_product(
+            config, (n for n in config.names if n not in core), inside - ring.one())
+    terms = []
     for index in selection.strata:
         if len(index) > ring.dim:
             continue
         term = ring.one()
         for name in index:
             term = term * config.divisor_of(name)
-        for name, c in term.fractions().items():
-            terms.setdefault(name, []).append((index, c))
-    return ChowClass._make(ring, {
-        name: stratum_sum(pairs, config.mults) for name, pairs in terms.items()})
+        terms.append((index, term.fractions()))
+    return ChowClass._make(ring, stratum_sum(terms, config.mults))
 
 
 def integrate_class(config: NCConfig, selection: StratumSelection = None) -> ChowClass:
@@ -152,18 +150,19 @@ def integrate_degree(config: DegreeConfig,
     config.warn_if_outside()
     selection = _selection_for(config, selection)
     if selection.kind == "explicit":
-        return stratum_sum(
-            ((index, config.chi_of_open(index)) for index in selection.strata),
-            config.mults,
-        )
-    if selection.kind == "whole":
-        return stratum_sum(config.chi_closed.items(), config.mults, less_one=True)
-    terms = []
-    for key, chi in config.chi_closed.items():
-        inside = key & selection.core
-        if inside:
-            terms += [(key, chi), (key - inside, chi if len(inside) % 2 else -chi)]
-    return stratum_sum(terms, config.mults, less_one=True)
+        terms = [(index, config.chi_of_open(index)) for index in selection.strata]
+    elif selection.kind == "whole":
+        terms = config.chi_closed.items()
+    else:
+        terms = []
+        for key, chi in config.chi_closed.items():
+            inside = key & selection.core
+            if inside:
+                terms += [(key, chi), (key - inside, chi if len(inside) % 2 else -chi)]
+    # the degree is the one entry of each coefficient vector
+    sums = stratum_sum(((index, {0: chi}) for index, chi in terms), config.mults,
+                       less_one=selection.kind != "explicit")
+    return sums.get(0, RF_ZERO)
 
 
 def alternate_form2(config: NCConfig) -> ChowClass:
@@ -268,18 +267,21 @@ def ix_function(config: FiberedConfig,
     """The stratumwise constructible function of a fibered configuration,
     over its stored selection unless another one is given: at each base
     stratum, the fiber Euler characteristics of the selected open strata
-    E_I weighted by prod_{i in I} 1/(1+m_i)."""
+    E_I weighted by prod_{i in I} 1/(1+m_i). One `stratum_sum` call sums
+    every base label at once, with each selected E_I carrying its vector
+    of fiber values by label; the sums run in integers, and Q(m) enters
+    only in the one value built per label."""
     if selection is None:
         selection = config.selection
     else:
         selection = _selection_for(config, selection)
+    vectors = {}
+    for (label, index), c in config.fiber.items():
+        if index in selection:
+            vectors.setdefault(index, {})[label] = c
+    sums = stratum_sum(vectors.items(), config.mults)
     return ConstructibleFunction(
-        (label, stratum_sum(
-            ((index, c) for (lab, index), c in config.fiber.items()
-             if lab == label and index in selection),
-            config.mults))
-        for label in config.base_strata
-    )
+        (label, sums.get(label, RF_ZERO)) for label in config.base_strata)
 
 
 def stringy_class(config: NCConfig, chain=None) -> ChowClass:

@@ -382,6 +382,35 @@ class ChowClass:
             out = {n: inv * v for n, v in out.items()}
         return ChowClass._make(self.ring, out)
 
+    def times_one_plus(self, factors) -> "ChowClass":
+        """This class, in integer form, times the product of 1 + (p/q)*x
+        over the (p, q, x) in factors, with p and q nonzero ints and x a
+        class in integer form.
+
+        With x = X/e, each factor is (q*e + p*X)/(q*e). Its integer
+        numerator multiplies the running one over the ring's `table`, as
+        in `__mul__`, and its denominator joins a running int; the
+        result is normalized once, at the end.
+        """
+        d, rows = self.ring.table
+        den, ints = self._den, self._ints
+        for p, q, x in factors:
+            scale = q * x._den * d
+            out = {n: v * scale for n, v in ints.items()}
+            for a, v in ints.items():
+                row = rows[a]
+                for b, w in x._ints.items():
+                    entries = row.get(b)
+                    if entries:
+                        vw = p * v * w
+                        for name, k in entries:
+                            out[name] = out.get(name, 0) + k * vw
+            den *= scale
+            ints = out
+        sign = -1 if den < 0 else 1
+        return ChowClass._from_ints(
+            self.ring, sign * den, {n: sign * v for n, v in ints.items() if v})
+
     def __pow__(self, k: int) -> "ChowClass":
         if k < 0:
             return self.inverse() ** (-k)

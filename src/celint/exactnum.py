@@ -22,8 +22,11 @@ sequence of Fractions over the lcm of their denominators; evaluation,
 rendering, the pole search, `stratum_sum` and the integer form of
 constant Chow classes read their integers through it. `stratum_sum`, the
 degree-level kernel behind the degree, zeta, stratumwise and explicit
-class-level integrals, sums and reduces over integer coefficient lists
-and builds one canonical RationalFunction at the end.
+class-level integrals, takes one coefficient vector per index set and
+returns one sum per key, with one call per value. It converts each
+multiplicity to integer lists once, sums and reduces each key over
+integer coefficient lists, and enters Q(m) only to build one canonical
+RationalFunction per key at the end.
 """
 
 from __future__ import annotations
@@ -566,19 +569,26 @@ def _quotient(a: list, b: list) -> list:
     return out
 
 
-def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
-    """Sum of c * prod_{i in I} x_i over the (I, c) in terms, with
+def stratum_sum(terms, mults: dict, less_one: bool = False) -> dict:
+    """Sums of c * prod_{i in I} x_i, one per key, over the index sets I
+    and coefficient vectors (dicts of c by key) in terms, with
     x_i = 1/(1+m_i), or x_i = 1/(1+m_i) - 1 = -m_i/(1+m_i) when less_one.
-    An index set may occur more than once.
+    An index set may occur more than once. The result maps each key with
+    a nonzero coefficient to its sum; a key it lacks sums to zero. The
+    keys are basis names for an explicit class-level selection, base
+    labels for a stratumwise function, and one key for a degree.
 
-    The sum runs in integers. With m_i = n_i/d_i and both cleared by one
-    scale, x_i = p_i/q_i for p_i = d_i (or -n_i) and q_i = d_i + n_i, of
-    degree 0 when m_i is constant. Over D * prod_i q_i, with D the lcm of
-    the denominators of the c, a term adds c*D times p_i for i in I and
-    q_i for i outside I. Constant names fold into that integer; the terms
-    are grouped by their m-dependent names, which are then eliminated in
+    The sums run in integers, and each multiplicity is converted once
+    per call: with m_i = n_i/d_i and both cleared by one scale,
+    x_i = p_i/q_i for p_i = d_i (or -n_i) and q_i = d_i + n_i, of degree
+    0 when m_i is constant. A key is summed over D * prod_i q_i, with D
+    the lcm of the denominators of its coefficients and i over the names
+    in its own terms: a term adds c*D times p_i for i in I and q_i for i
+    outside I. Constant names fold into that integer; the terms are
+    grouped by their m-dependent names, which are then eliminated in
     turn, each group multiplied by p_i or q_i and merged with the group
-    that differs from it only at i.
+    that differs from it only at i. Q(m) enters only with the one
+    canonical RationalFunction built per key at the end.
 
     A common factor of the sum and its denominator divides some q_i, so
     the reduction takes each m-dependent q_i in turn: its content joins
@@ -586,26 +596,42 @@ def stratum_sum(terms, mults: dict, less_one: bool = False) -> RationalFunction:
     the pseudo-remainder of num by q_i (a division test when q_i is
     linear); num and q_i are divided by g. No gcd runs on num itself.
     """
-    terms = [(index, as_fraction(c)) for index, c in terms if c]
-    scale, ks = cleared([c for _, c in terms])
+    by_key = {}
+    for index, vector in terms:
+        for key, c in vector.items():
+            if c:
+                pairs = by_key.get(key)
+                if pairs is None:
+                    pairs = by_key[key] = []
+                pairs.append((index, c))
+    parts = {}
+    return {key: _key_sum(pairs, mults, less_one, parts) for key, pairs in by_key.items()}
+
+
+def _key_sum(pairs, mults: dict, less_one: bool, parts: dict) -> RationalFunction:
+    """`stratum_sum` over the (I, c) pairs of one key; parts keeps the
+    integer lists (p_i, q_i) of the names converted so far."""
+    scale, ks = cleared([c for _, c in pairs])
     den, fold, bits, factors = scale, [], {}, []
-    for name in sorted(set().union(*(index for index, _ in terms))):
-        mult = mults[name]
-        split = len(mult.num.coeffs)
-        _, ints = cleared(mult.num.coeffs + mult.den.coeffs)
-        n, d = ints[:split], ints[split:]
-        p = [-c for c in n] if less_one else d
-        q = [a + b for a, b in zip_longest(d, n, fillvalue=0)]
+    for name in sorted(set().union(*(index for index, _ in pairs))):
+        if name not in parts:
+            mult = mults[name]
+            split = len(mult.num.coeffs)
+            _, ints = cleared(mult.num.coeffs + mult.den.coeffs)
+            n, d = ints[:split], ints[split:]
+            q = [a + b for a, b in zip_longest(d, n, fillvalue=0)]
+            if q == [0]:
+                raise ZeroDenominator("rational function with zero denominator")
+            parts[name] = ([-c for c in n] if less_one else d), q
+        p, q = parts[name]
         if len(q) > 1:
             bits[name] = 1 << len(factors)
             factors.append((p, q))
-        elif q[0]:
+        else:
             fold.append((name, p[0] if p else 0, q[0]))
             den *= q[0]
-        else:
-            raise ZeroDenominator("rational function with zero denominator")
     groups = {}
-    for (index, _), k in zip(terms, ks):
+    for (index, _), k in zip(pairs, ks):
         for name, p, q in fold:
             k *= p if name in index else q
         key = 0

@@ -48,23 +48,30 @@ class Component(namedtuple(
     __slots__ = ()
 
 
-def _check_mult(name: str, mult: RationalFunction):
+def _check_mult(name: str, mult: RationalFunction) -> bool:
+    """Reject a multiplicity identically -1; return whether it is a
+    constant below -1, outside the log-terminal range."""
     # values are canonical, so a multiplicity identically -1 is a constant
-    if mult.is_constant() and mult.as_fraction() == -1:
+    if not mult.is_constant():
+        return False
+    value = mult.as_fraction()
+    if value == -1:
         raise UndefinedMultiplicity(
             f"component {name!r} has multiplicity identically -1"
         )
+    return value < -1
 
 
-def _mult_table(names, mults) -> dict:
+def _mult_table(names, mults) -> tuple:
     """mults as a dict, checked to cover exactly names and to hold no
-    multiplicity identically -1."""
+    multiplicity identically -1, and whether one lies below -1."""
     table = dict(mults)
     if set(table) != set(names):
         raise SchemaError("multiplicity table must cover exactly the components")
+    outside = False
     for name, mult in table.items():
-        _check_mult(name, mult)
-    return table
+        outside |= _check_mult(name, mult)
+    return table, outside
 
 
 def _check_decomposition(name, mult, decomposition):
@@ -77,15 +84,11 @@ def _check_decomposition(name, mult, decomposition):
         )
 
 
-def _outside_log_terminal(mult: RationalFunction) -> bool:
-    return mult.is_constant() and mult.as_fraction() <= -1
-
-
 def _warn_if_outside(config):
     """The `warn_if_outside` method of NCConfig and DegreeConfig. The
     warning points at the code that called the integral which called
     this method."""
-    if config.outside_log_terminal():
+    if config._outside:
         warnings.warn(
             "a component has constant multiplicity <= -1; values are formal",
             RegimeWarning,
@@ -96,12 +99,14 @@ def _warn_if_outside(config):
 class NCConfig:
     """Divisor components with multiplicities on one ring."""
 
-    __slots__ = ("ring", "components", "by_name", "names", "mults", "_log_chern")
+    __slots__ = ("ring", "components", "by_name", "names", "mults", "_log_chern",
+                 "_outside")
 
     def __init__(self, ring: ChowRing, components):
         self.ring = ring
         self.components = tuple(components)
         self._log_chern = None
+        self._outside = False
         self.by_name = {}
         for comp in self.components:
             if comp.name in self.by_name:
@@ -120,7 +125,7 @@ class NCConfig:
                 raise NotADivisor(
                     f"component {comp.name!r} must have constant coefficients"
                 )
-            _check_mult(comp.name, comp.mult)
+            self._outside |= _check_mult(comp.name, comp.mult)
             _check_decomposition(comp.name, comp.mult, comp.decomposition)
             self.by_name[comp.name] = comp
         self.names = tuple(c.name for c in self.components)
@@ -133,7 +138,7 @@ class NCConfig:
         return self.by_name[name].divisor
 
     def outside_log_terminal(self) -> bool:
-        return any(_outside_log_terminal(c.mult) for c in self.components)
+        return self._outside
 
     warn_if_outside = _warn_if_outside
 
@@ -311,13 +316,13 @@ def chi_open(chi_closed: dict, index: frozenset) -> Fraction:
 class DegreeConfig:
     """Multiplicity and Euler characteristic data with no ring attached."""
 
-    __slots__ = ("names", "mults", "decompositions", "chi_closed", "dim")
+    __slots__ = ("names", "mults", "decompositions", "chi_closed", "dim", "_outside")
 
     def __init__(self, names, mults, chi_closed, dim=None, decompositions=None):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise SchemaError("duplicate component names")
-        self.mults = _mult_table(self.names, mults)
+        self.mults, self._outside = _mult_table(self.names, mults)
         self.decompositions = {name: dec for name, dec in
                                (decompositions or {}).items() if dec is not None}
         for name, dec in self.decompositions.items():
@@ -342,7 +347,7 @@ class DegreeConfig:
         return chi_open(self.chi_closed, frozenset(index))
 
     def outside_log_terminal(self) -> bool:
-        return any(_outside_log_terminal(m) for m in self.mults.values())
+        return self._outside
 
     warn_if_outside = _warn_if_outside
 
@@ -359,7 +364,7 @@ class FiberedConfig:
 
     def __init__(self, names, mults, selection, base_strata, fiber):
         self.names = tuple(names)
-        self.mults = _mult_table(self.names, mults)
+        self.mults, _ = _mult_table(self.names, mults)
         selection.check_universe(self.names)
         self.selection = selection
         self.base_strata = {str(k): as_fraction(v) for k, v in base_strata.items()}

@@ -1,5 +1,6 @@
 import random
 import time
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celint import celestial, model
+from celint import celestial, exactnum, model
 from celint.celestial import (
     ConstructibleFunction,
     alternate_form2,
@@ -43,7 +44,7 @@ from celint.model import (
     NCConfig,
     StratumSelection,
 )
-from celint.modelfile import load_chain, load_model
+from celint.modelfile import load_chain, load_model, ring_literal
 
 from conftest import read_fixture, time_limit
 from oracles import paired_total, stringy_hypersurface
@@ -503,8 +504,17 @@ def test_selection_linearity_random(strata):
 
 P3 = ring_projective(3)
 BLOWN_UP_P2 = ring_blowup_point(P2)[0]
+# P^3 with basis g = 2h^2, so h*h = g/2: its structure table has d = 2,
+# where every catalog ring has d = 1
+HALF_P3 = ring_literal({
+    "dim": 3, "basis": [["[V]"], ["h"], ["g"], ["p"]],
+    "products": {"h,h": "g/2", "h,g": "2*p"}, "degree": {"p": 1},
+    "point": "p", "chern": "[V] + 4*h + 3*g + 4*p",
+})
+# -1/2 has weight 1/(1+m) = 2/1; -5/2 has 1 + m < 0, outside the log-terminal range
 MULTS = (rf(0), rf(Fraction(1, 2)), rf(3), RF_M, rf(2) * RF_M + rf(1),
-         RF_M / (rf(2) + RF_M), rf(Fraction(1, 3)) * RF_M + rf(10**18))
+         RF_M / (rf(2) + RF_M), rf(Fraction(1, 3)) * RF_M + rf(10**18),
+         rf(Fraction(-1, 2)), rf(Fraction(-5, 2)))
 
 
 def all_subsets(names):
@@ -522,7 +532,8 @@ def reciprocal_weight(index, mults):
 
 
 def reference_class(config, strata):
-    """log_chern times the sum over strata of prod E_i/(1+m_i)."""
+    """c(TV)/prod_j (1 + E_j) times the sum over strata of
+    prod E_i/(1+m_i), in plain class products."""
     ring = config.ring
     mults = {c.name: c.mult for c in config.components}
     total = ring.zero()
@@ -531,7 +542,10 @@ def reference_class(config, strata):
         for name in index:
             term = term * config.divisor_of(name)
         total = total + term.scale(reciprocal_weight(index, mults))
-    return log_chern(config) * total
+    log_part = ring.one()
+    for comp in config.components:
+        log_part = log_part * (ring.one() + comp.divisor)
+    return ring.require_tangent_chern() * log_part.inverse() * total
 
 
 def reference_chi_open(table, index):
@@ -591,7 +605,7 @@ def check_canonical(sel, strata, names):
 
 
 @settings(max_examples=20, deadline=None)
-@given(selection_pairs(), st.sampled_from((P2, P3, BLOWN_UP_P2)), st.data())
+@given(selection_pairs(), st.sampled_from((P2, P3, BLOWN_UP_P2, HALF_P3)), st.data())
 def test_integrate_class_matches_subset_sum(case, ring, data):
     names, mults, first, second = case
     divisors = [ring.basis_class(b) for b in ring.basis[1]]
@@ -600,9 +614,39 @@ def test_integrate_class_matches_subset_sum(case, ring, data):
         Component(name, mults[name], data.draw(st.sampled_from(divisors)))
         for name in names
     ])
+    outside = rf(Fraction(-5, 2)) in mults.values()
     for sel, strata in selection_results(first, second, all_subsets(names)):
         check_canonical(sel, strata, names)
-        assert integrate_class(config, sel) == reference_class(config, strata)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = integrate_class(config, sel)
+        assert [w.category for w in caught] == [RegimeWarning] * outside
+        assert got == reference_class(config, strata)
+
+
+@pytest.mark.parametrize("ring", [P2, P3, BLOWN_UP_P2, HALF_P3],
+                         ids=["P2", "P3", "Bl_P2", "half_P3"])
+def test_constant_weights_of_either_sign_match_subset_sum(ring):
+    # 1 + m is -3/2 at m = -5/2 and -1 at m = -2, so an odd number of
+    # such factors gives the integer product a negative denominator; on
+    # HALF_P3 every product of divisors passes through the table's d = 2
+    divisors = [ring.basis_class(b) for b in ring.basis[1]]
+    mults = [rf(Fraction(-5, 2)), rf(Fraction(-1, 2)), rf(2), rf(-2),
+             rf(Fraction(-5, 2)), RF_M]
+    names = [f"E{i}" for i in range(len(mults))]
+    for count in range(1, len(names) + 1):
+        config = NCConfig(ring, [
+            Component(name, mult, divisors[i % len(divisors)].scale(rf(1 + i % 2)))
+            for i, (name, mult) in enumerate(zip(names[:count], mults))])
+        subsets = all_subsets(names[:count])
+        selections = [(StratumSelection.whole(names[:count]), subsets)]
+        for core in ({"E0"}, set(names[1:count]) or {"E0"}):
+            selections.append((StratumSelection.from_closed(names[:count], core),
+                               [s for s in subsets if s & core]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for sel, strata in selections:
+                assert integrate_class(config, sel) == reference_class(config, strata)
 
 
 @settings(max_examples=25, deadline=None)
@@ -637,10 +681,49 @@ def test_degree_and_ix_match_subset_sum(case, data):
 
     for sel, strata in selection_results(first, second, subsets):
         check_canonical(sel, strata, names)
-        assert integrate_degree(degree, sel) == expected("degree", strata)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            assert integrate_degree(degree, sel) == expected("degree", strata)
         values = dict(ix_function(fibered, sel).entries)
         assert values["p"] == expected("p", strata)
         assert values["q"] == expected("q", strata)
+
+
+def test_one_kernel_call_per_selection(monkeypatch):
+    # celestial calls the kernel through its own imported name, so the
+    # counter wraps exactnum.stratum_sum there
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exactnum.stratum_sum(*args, **kwargs)
+
+    monkeypatch.setattr(celestial, "stratum_sum", counting)
+    p5 = ring_projective(5)
+    h = p5.basis_class("h")
+    names = [f"D{i}" for i in range(5)]
+    mults = [rf(0), RF_M, rf(Fraction(1, 2)), rf(2) * RF_M + rf(1), rf(3)]
+    config = NCConfig(p5, [Component(n, m, h) for n, m in zip(names, mults)])
+    # sets of every size from 0 to 5 reach all six basis names of P^5
+    strata = [frozenset(names[:k]) for k in range(6)] + [{"D3"}, {"D1", "D4"}]
+    selection = StratumSelection.from_strata(names, strata)
+    assert selection.kind == "explicit"
+    got = integrate_class(config, selection)
+    assert len(calls) == 1
+    assert len(got.coeffs) == 6
+    assert got == reference_class(config, {frozenset(s) for s in strata})
+    labels = {"p": 1, "q": 2, "r": -1, "s": 3}
+    fiber = {(label, frozenset(names[:k])): Fraction(k + i, 2)
+             for i, label in enumerate(labels) for k in range(1, 4)}
+    fibered = FiberedConfig(names, dict(zip(names, mults)),
+                            StratumSelection.whole(names), labels, fiber)
+    calls.clear()
+    values = dict(ix_function(fibered).entries)
+    assert len(calls) == 1
+    for label in labels:
+        assert values[label] == sum(
+            (rf(c) * reciprocal_weight(index, fibered.mults)
+             for (lab, index), c in fiber.items() if lab == label), rf(0))
 
 
 @pytest.mark.parametrize("core", [("A",), ("A", "C"), ("A", "B", "C")])

@@ -42,6 +42,12 @@ DECOMPOSED = ((0, 0), (0, 2), (0, -2), (0, Fraction(-3, 2)), (0, Fraction(1, 2))
 CONSTANT = tuple(pair for pair in DECOMPOSED if pair[0] == 0)
 
 
+def kernel(terms, mults, less_one=False):
+    """`stratum_sum` on (I, c) pairs, each c the one entry of its vector."""
+    sums = stratum_sum(((index, {0: c}) for index, c in terms), mults, less_one)
+    return sums.get(0, rf(0))
+
+
 def all_subsets(names):
     names = tuple(names)
     return [frozenset(c) for c in chain.from_iterable(
@@ -254,15 +260,15 @@ def test_kernel_sums_repeated_index_sets():
     terms = [(frozenset("A"), 2), (frozenset("AB"), Fraction(1, 3)),
              (frozenset("A"), -1), (frozenset(), 5), (frozenset("BC"), 0)]
     whole = StratumSelection.whole("ABC")
-    assert stratum_sum(terms, mults) == reference_stratum_sum(
+    assert kernel(terms, mults) == reference_stratum_sum(
         whole, mults, [(frozenset("A"), 1), (frozenset("AB"), Fraction(1, 3)),
                        (frozenset(), 5)])
     # x - 1 = -m/(1+m): a key A with chi 1 and the empty key with chi -1
     # give 1/(1+m) - 2
-    assert stratum_sum([(frozenset("A"), 1), (frozenset(), -1)], mults,
+    assert kernel([(frozenset("A"), 1), (frozenset(), -1)], mults,
                        less_one=True) == rf(1) / (rf(1) + RF_M) - rf(2)
-    assert stratum_sum([(frozenset("A"), 1), (frozenset("A"), -1)], mults) == rf(0)
-    assert stratum_sum([], mults) == rf(0)
+    assert kernel([(frozenset("A"), 1), (frozenset("A"), -1)], mults) == rf(0)
+    assert kernel([], mults) == rf(0)
     # with constant multiplicities only, the kernel sums in Fractions
     constant = {"A": rf(-2), "B": rf(Fraction(-3, 2)), "C": rf(Fraction(1, 3)),
                 "D": rf(10**18 + 7)}
@@ -270,11 +276,59 @@ def test_kernel_sums_repeated_index_sets():
               (frozenset("A"), -1), (frozenset(), 5), (frozenset("BCD"), 7),
               (frozenset("CD"), Fraction(-5, 2))]
     merged = [(frozenset("A"), 1)] + listed[1:2] + listed[3:]
-    assert stratum_sum(listed, constant) == reference_stratum_sum(
+    assert kernel(listed, constant) == reference_stratum_sum(
         StratumSelection.whole("ABCD"), constant, merged)
     # x - 1 = -m/(1+m) = -2 at m = -2, and 1/(10^18 + 8) - 1 at D
-    assert stratum_sum([(frozenset("A"), 3), (frozenset("D"), 1)], constant,
+    assert kernel([(frozenset("A"), 3), (frozenset("D"), 1)], constant,
                        less_one=True) == rf(-6) + rf(Fraction(1, 10**18 + 8)) - rf(1)
+
+
+def test_vector_keys_sum_their_own_terms():
+    # one call sums each key over its own terms alone: key q meets only
+    # the constant name C, so it keeps no factor of A or B, and the
+    # terms of z cancel
+    mults = {"A": RF_M, "B": parse_rf("m^2 + 3*m + 1"), "C": rf(Fraction(-5, 2))}
+    terms = [(frozenset("A"), {"p": 2, "z": 1}),
+             (frozenset("AB"), {"p": Fraction(1, 3), "q": 0}),
+             (frozenset("C"), {"q": 4}),
+             (frozenset(), {"p": -1, "q": Fraction(1, 2)}),
+             (frozenset("A"), {"z": -1})]
+    whole = StratumSelection.whole("ABC")
+    for less_one in (False, True):
+        sums = stratum_sum(terms, mults, less_one)
+        assert set(sums) <= {"p", "q", "z"}
+        for key in ("p", "q", "z"):
+            own = [(index, vector.get(key, 0)) for index, vector in terms]
+            assert sums.get(key, rf(0)) == reference_stratum_sum(
+                whole, mults, own, less_one)
+        assert sums.get("z", rf(0)) == rf(0)
+        assert sums["q"].is_constant()
+    assert stratum_sum([], mults) == {}
+    assert stratum_sum([(frozenset("A"), {}), (frozenset("B"), {"p": 0})], mults) == {}
+
+
+# seeds cycle through constant, m-linear, parsed and mixed multiplicities
+@pytest.mark.parametrize("seed", range(24))
+def test_vector_form_matches_the_reference_per_key(seed):
+    rng = random.Random(5000 + seed)
+    names = [f"E{i}" for i in range(rng.randint(0, 5))]
+    mults = {name: draw_mult(rng, KINDS[seed % 4]) for name in names}
+    subsets = all_subsets(names)
+    keys = ("a", "b", "c")
+    terms = [(rng.choice(subsets),
+              {key: rng.choice(COEFFS) for key in rng.sample(keys, rng.randint(0, 3))})
+             for _ in range(rng.randint(0, 10))]
+    # the terms of key c cancel: each is listed again, negated
+    terms += [(index, {"c": -as_fraction(vector["c"])})
+              for index, vector in terms if "c" in vector]
+    whole = StratumSelection.whole(names)
+    for less_one in (False, True):
+        sums = stratum_sum(terms, mults, less_one)
+        assert sums.get("c", rf(0)) == rf(0)
+        for key in keys:
+            own = [(index, vector[key]) for index, vector in terms if key in vector]
+            assert sums.get(key, rf(0)) == reference_stratum_sum(
+                whole, mults, own, less_one)
 
 
 @pytest.mark.parametrize("less_one", [False, True])
@@ -283,7 +337,7 @@ def test_kernel_rejects_a_multiplicity_of_minus_one(less_one):
     for other in (rf(2), RF_M):
         mults = {"A": rf(-1), "B": other}
         with pytest.raises(ZeroDenominator):
-            stratum_sum([(frozenset("AB"), 1)], mults, less_one=less_one)
+            kernel([(frozenset("AB"), 1)], mults, less_one=less_one)
 
 
 def test_constant_weights_fold_into_the_coefficients(monkeypatch):
@@ -309,8 +363,8 @@ def test_constant_weights_fold_into_the_coefficients(monkeypatch):
             return original(self, *args)
 
         monkeypatch.setattr(cls, name, counting)
-    got = [stratum_sum(terms, mults), stratum_sum(terms, mults, less_one=True)]
-    got += [stratum_sum(terms, constant), stratum_sum(terms, constant, less_one=True)]
+    got = [kernel(terms, mults), kernel(terms, mults, less_one=True)]
+    got += [kernel(terms, constant), kernel(terms, constant, less_one=True)]
     assert calls == {"__mul__": 0, "gcd": 0, "__init__": 0}
     assert got == want
 
@@ -345,7 +399,7 @@ def test_kernel_matches_the_reference_sum(seed):
     terms += rng.sample(terms, min(len(terms), 3))
     whole = StratumSelection.whole(names)
     for less_one in (False, True):
-        assert stratum_sum(terms, mults, less_one) == reference_stratum_sum(
+        assert kernel(terms, mults, less_one) == reference_stratum_sum(
             whole, mults, terms, less_one)
     if not names:
         return
@@ -355,9 +409,9 @@ def test_kernel_matches_the_reference_sum(seed):
     for less_one in (False, True):
         if any(c and bad in index for index, c in terms):
             with pytest.raises(ZeroDenominator):
-                stratum_sum(terms, mults, less_one)
+                kernel(terms, mults, less_one)
         else:
-            assert stratum_sum(terms, mults, less_one) == reference_stratum_sum(
+            assert kernel(terms, mults, less_one) == reference_stratum_sum(
                 whole, mults, terms, less_one)
 
 
@@ -413,7 +467,7 @@ def test_kernel_agrees_with_sympy_cancel(seed):
     literal = sympy.cancel(sympy.together(sum(
         sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
         * sympy.Mul(*(x[name] for name in index)) for index, c in terms)))
-    got = stratum_sum(terms, mults, less_one)
+    got = kernel(terms, mults, less_one)
     assert sympy.cancel(to_sympy(got) - literal) == 0
     assert sympy.degree(sympy.denom(literal), m) == got.den.degree
 
@@ -483,6 +537,6 @@ def test_reduction_matches_euclid_over_the_full_denominator(seed):
         terms += draw_cancelling_terms(rng, names, mults)
     whole = StratumSelection.whole(names)
     for less_one in (False, True):
-        got = stratum_sum(terms, mults, less_one)
+        got = kernel(terms, mults, less_one)
         assert got == euclid_stratum_sum(terms, mults, less_one)
         assert got == reference_stratum_sum(whole, mults, terms, less_one)
