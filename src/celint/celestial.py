@@ -19,7 +19,8 @@ from .errors import (
     RingMismatch,
     SchemaError,
 )
-from .exactnum import RF_ONE, RF_ZERO, PoleReport, RationalFunction, stratum_sum
+from .exactnum import (RF_ONE, RF_ZERO, PoleReport, RationalFunction, cleared,
+                       stratum_sum)
 from .model import DegreeConfig, FiberedConfig, NCConfig, StratumSelection
 
 
@@ -96,43 +97,50 @@ def _weighted_product(config: NCConfig, names, start: ChowClass) -> ChowClass:
 
 
 def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
-    """Sum over selected index sets I of the product of E_i/(1+m_i), i in I.
+    """The integral: log_chern(config) times the sum over selected index
+    sets I of the product of E_i/(1+m_i), i in I.
 
-    With F_i = 1 + E_i/(1+m_i), the whole selection is the product of
-    all F_i, and closed(L) is the product of F_i over i outside L times
-    (the product over L, minus 1). The factors with constant m_i are
-    multiplied in integers, one `times_one_plus` pass per product, and
-    Q(m) enters only with the m-dependent factors, one class product
-    each. An explicit selection costs one integer class product E_I per
-    listed index set, skipping sets with more members than the
-    dimension, whose products vanish; one `stratum_sum` call then sums
-    the constant coefficients of the E_I by basis name.
+    With F_i = 1 + E_i/(1+m_i), the whole sum is the product of all F_i,
+    and closed(L)'s the product over i outside L times (the product over
+    L, minus 1): constant factors in one integer `times_one_plus` pass,
+    m-dependent ones in Q(m). For each listed I of at most dim members,
+    an explicit selection builds the integer class log_chern * prod_I E_i
+    from its longest prefix, and one `stratum_sum` call sums them.
     """
+    start = log_chern(config)
     selection = _selection_for(config, selection)
     ring = config.ring
     if selection.kind == "whole":
-        return _weighted_product(config, config.names, ring.one())
+        return start * _weighted_product(config, config.names, ring.one())
     if selection.kind == "closed":
         core = selection.core
         inside = _weighted_product(
             config, (n for n in config.names if n in core), ring.one())
-        return _weighted_product(
+        return start * _weighted_product(
             config, (n for n in config.names if n not in core), inside - ring.one())
-    terms = []
+    order = {name: i for i, name in enumerate(config.names)}
+    products, terms = {(): start}, []
     for index in selection.strata:
-        if len(index) > ring.dim:
-            continue
-        term = ring.one()
-        for name in index:
-            term = term * config.divisor_of(name)
-        terms.append((index, term.fractions()))
-    return ChowClass._make(ring, stratum_sum(terms, config.mults))
+        if len(index) <= ring.dim:
+            key = tuple(sorted(index, key=order.get))
+            for j in range(1, len(key) + 1):
+                if key[:j] not in products:
+                    products[key[:j]] = products[key[:j - 1]] * config.divisor_of(key[j - 1])
+            terms.append((index, products[key]._den, products[key]._ints))
+    den, sums = stratum_sum(terms, config.mults)
+    return ChowClass._make(ring, sums) if den is None else ChowClass._from_ints(ring, den, sums)
 
 
 def integrate_class(config: NCConfig, selection: StratumSelection = None) -> ChowClass:
     """The integral at the resolving ring, as a class with Q(m) coefficients."""
     config.warn_if_outside()
-    return log_chern(config) * selection_class(config, selection)
+    return selection_class(config, selection)
+
+
+def _values(den, sums: dict) -> dict:
+    """The sums of `stratum_sum` as RationalFunctions by key."""
+    return sums if den is None else {
+        key: RationalFunction.constant(Fraction(c, den)) for key, c in sums.items()}
 
 
 def integrate_degree(config: DegreeConfig,
@@ -160,8 +168,9 @@ def integrate_degree(config: DegreeConfig,
             if inside:
                 terms += [(key, chi), (key - inside, chi if len(inside) % 2 else -chi)]
     # the degree is the one entry of each coefficient vector
-    sums = stratum_sum(((index, {0: chi}) for index, chi in terms), config.mults,
-                       less_one=selection.kind != "explicit")
+    sums = _values(*stratum_sum(
+        ((index, chi.denominator, {0: chi.numerator}) for index, chi in terms),
+        config.mults, less_one=selection.kind != "explicit"))
     return sums.get(0, RF_ZERO)
 
 
@@ -268,18 +277,17 @@ def ix_function(config: FiberedConfig,
     over its stored selection unless another one is given: at each base
     stratum, the fiber Euler characteristics of the selected open strata
     E_I weighted by prod_{i in I} 1/(1+m_i). One `stratum_sum` call sums
-    every base label at once, with each selected E_I carrying its vector
-    of fiber values by label; the sums run in integers, and Q(m) enters
+    every base label at once, with each selected E_I carrying its fiber
+    values by label, all cleared to ints over one denominator; Q(m) enters
     only in the one value built per label."""
-    if selection is None:
-        selection = config.selection
-    else:
-        selection = _selection_for(config, selection)
+    selection = config.selection if selection is None else _selection_for(config, selection)
+    d, ints = cleared(config.fiber.values())
     vectors = {}
-    for (label, index), c in config.fiber.items():
+    for (label, index), c in zip(config.fiber, ints):
         if index in selection:
             vectors.setdefault(index, {})[label] = c
-    sums = stratum_sum(vectors.items(), config.mults)
+    sums = _values(*stratum_sum(
+        ((index, d, vector) for index, vector in vectors.items()), config.mults))
     return ConstructibleFunction(
         (label, sums.get(label, RF_ZERO)) for label in config.base_strata)
 

@@ -283,12 +283,6 @@ class ChowClass:
             })
         return self._coeffs
 
-    def fractions(self) -> dict:
-        """The nonzero coefficients of a constant class as Fractions, by
-        basis name, read from the integer form."""
-        d = self._den
-        return {n: Fraction(v, d) for n, v in self._ints.items()}
-
     def _check_ring(self, other: "ChowClass"):
         if self.ring is not other.ring:
             raise RingMismatch("classes live in different rings")
@@ -425,9 +419,6 @@ class ChowClass:
                 n: v for n, v in self._ints.items() if keep(codim_of[n])})
         return ChowClass._make(self.ring, {
             n: c for n, c in self._coeffs.items() if keep(codim_of[n])})
-
-    def graded_piece(self, codim: int) -> "ChowClass":
-        return self._select(lambda k: k == codim)
 
     def positive_part(self) -> "ChowClass":
         return self._select(lambda k: k > 0)

@@ -20,13 +20,9 @@ two constants is taken in `Fraction`s.
 The module is also the home of integer arithmetic. `cleared` puts a
 sequence of Fractions over the lcm of their denominators; evaluation,
 rendering, the pole search, `stratum_sum` and the integer form of
-constant Chow classes read their integers through it. `stratum_sum`, the
-degree-level kernel behind the degree, zeta, stratumwise and explicit
-class-level integrals, takes one coefficient vector per index set and
-returns one sum per key, with one call per value. It converts each
-multiplicity to integer lists once, sums and reduces each key over
-integer coefficient lists, and enters Q(m) only to build one canonical
-RationalFunction per key at the end.
+constant Chow classes read their integers through it. `stratum_sum` is
+the one integer kernel behind the degree, zeta, stratumwise and explicit
+class-level integrals.
 """
 
 from __future__ import annotations
@@ -569,92 +565,103 @@ def _quotient(a: list, b: list) -> list:
     return out
 
 
-def stratum_sum(terms, mults: dict, less_one: bool = False) -> dict:
-    """Sums of c * prod_{i in I} x_i, one per key, over the index sets I
-    and coefficient vectors (dicts of c by key) in terms, with
-    x_i = 1/(1+m_i), or x_i = 1/(1+m_i) - 1 = -m_i/(1+m_i) when less_one.
-    An index set may occur more than once. The result maps each key with
-    a nonzero coefficient to its sum; a key it lacks sums to zero. The
-    keys are basis names for an explicit class-level selection, base
-    labels for a stratumwise function, and one key for a degree.
-
-    The sums run in integers, and each multiplicity is converted once
-    per call: with m_i = n_i/d_i and both cleared by one scale,
-    x_i = p_i/q_i for p_i = d_i (or -n_i) and q_i = d_i + n_i, of degree
-    0 when m_i is constant. A key is summed over D * prod_i q_i, with D
-    the lcm of the denominators of its coefficients and i over the names
-    in its own terms: a term adds c*D times p_i for i in I and q_i for i
-    outside I. Constant names fold into that integer; the terms are
-    grouped by their m-dependent names, which are then eliminated in
-    turn, each group multiplied by p_i or q_i and merged with the group
-    that differs from it only at i. Q(m) enters only with the one
-    canonical RationalFunction built per key at the end.
-
-    A common factor of the sum and its denominator divides some q_i, so
-    the reduction takes each m-dependent q_i in turn: its content joins
-    the integer part of the denominator, and g = gcd(num, q_i) comes from
-    the pseudo-remainder of num by q_i (a division test when q_i is
-    linear); num and q_i are divided by g. No gcd runs on num itself.
-    """
-    by_key = {}
-    for index, vector in terms:
-        for key, c in vector.items():
-            if c:
-                pairs = by_key.get(key)
-                if pairs is None:
-                    pairs = by_key[key] = []
-                pairs.append((index, c))
-    parts = {}
-    return {key: _key_sum(pairs, mults, less_one, parts) for key, pairs in by_key.items()}
-
-
-def _key_sum(pairs, mults: dict, less_one: bool, parts: dict) -> RationalFunction:
-    """`stratum_sum` over the (I, c) pairs of one key; parts keeps the
-    integer lists (p_i, q_i) of the names converted so far."""
-    scale, ks = cleared([c for _, c in pairs])
-    den, fold, bits, factors = scale, [], {}, []
-    for name in sorted(set().union(*(index for index, _ in pairs))):
-        if name not in parts:
-            mult = mults[name]
-            split = len(mult.num.coeffs)
-            _, ints = cleared(mult.num.coeffs + mult.den.coeffs)
-            n, d = ints[:split], ints[split:]
-            q = [a + b for a, b in zip_longest(d, n, fillvalue=0)]
-            if q == [0]:
-                raise ZeroDenominator("rational function with zero denominator")
-            parts[name] = ([-c for c in n] if less_one else d), q
-        p, q = parts[name]
-        if len(q) > 1:
-            bits[name] = 1 << len(factors)
-            factors.append((p, q))
-        else:
-            fold.append((name, p[0] if p else 0, q[0]))
-            den *= q[0]
-    groups = {}
-    for (index, _), k in zip(pairs, ks):
-        for name, p, q in fold:
-            k *= p if name in index else q
-        key = 0
+def stratum_sum(terms, mults: dict, less_one: bool = False) -> tuple:
+    """Sums of (c/d) * prod_{i in I} x_i by key (basis names, base labels
+    or the one key of a degree) over the terms (I, d, dict of int c by
+    key), with x_i = 1/(1+m_i), or x_i - 1 = -m_i/(1+m_i) when less_one.
+    Returns (den, sums) without the zero sums: with no m-dependent name
+    in a nonzero term, den > 0 and each sum an int over it, and no
+    Fraction or RationalFunction is built; else den is None and each sum
+    a RationalFunction. With m_i = n_i/d_i cleared by one scale,
+    x_i = p_i/q_i for p_i = d_i (or -n_i) and q_i = d_i + n_i; every key
+    goes over lcm(d) * prod q_i, a term's constant names folded into one
+    int. The terms are grouped once by their m-dependent names, which
+    `_eliminate` removes for all keys at once; Q(m) enters only in
+    `_reduced`, once per key."""
+    bits, fold, factors, live, whole = {}, {}, [], [], 1
+    for index, d, vector in terms:
+        if not any(vector.values()):
+            continue
         for name in index:
-            key |= bits.get(name, 0)
-        groups[key] = groups.get(key, 0) + k
-    groups = {key: [k] for key, k in groups.items() if k}
+            if name not in fold and name not in bits:
+                p, q = _parts(mults[name], less_one)
+                if len(q) > 1:
+                    bits[name] = 1 << len(factors)
+                    factors.append((p, q))
+                else:
+                    fold[name] = p[0] if p else 0, q[0]
+                    whole *= q[0]
+        live.append((index, d, vector))
+    scale = lcm(*(d for _, d, _ in live))
+    den = scale * whole
+    groups, used = {}, {}
+    for index, d, vector in live:
+        top, bottom, mask = scale // d, 1, 0
+        for name in index:
+            if name in bits:
+                mask |= bits[name]
+            else:
+                p, q = fold[name]
+                top *= p
+                bottom *= q
+        f = top * (whole // bottom)
+        for key, c in vector.items():
+            groups[mask, key] = groups.get((mask, key), 0) + c * f
+            used[key] = used.get(key, 0) | mask
+    if not factors:
+        sign = -1 if den < 0 else 1
+        return sign * den, {key: sign * c for (_, key), c in groups.items() if c}
+    sums = {}
+    for key, num in _eliminate(groups, factors, used).items():
+        while num and not num[-1]:
+            num.pop()
+        if num:
+            sums[key] = _reduced(num, den, [
+                q for i, (_, q) in enumerate(factors) if used[key] >> i & 1])
+    return None, sums
+
+
+def _parts(mult: RationalFunction, less_one: bool) -> tuple:
+    """The integer lists (p, q) with x = p/q for one multiplicity m."""
+    num, den = mult.num.coeffs, mult.den.coeffs
+    if len(num) == 1 and len(den) == 1:
+        n, d = [num[0].numerator], [num[0].denominator]
+    else:
+        _, ints = cleared(num + den)
+        n, d = ints[:len(num)], ints[len(num):]
+    q = [a + b for a, b in zip_longest(d, n, fillvalue=0)]
+    if q == [0]:
+        raise ZeroDenominator("rational function with zero denominator")
+    return ([-c for c in n] if less_one else d), q
+
+
+def _eliminate(groups: dict, factors: list, used: dict) -> dict:
+    """Each key's integer list over prod q_i, from the ints of groups by
+    (mask, key): the name of bit i, with (p_i, q_i) = factors[i], goes by
+    multiplying each group by p_i or q_i and merging it with the group
+    that differs only at i, except for keys whose terms never hold it."""
+    groups = {entry: [c] for entry, c in groups.items() if c}
     for i, (p, q) in enumerate(factors):
+        bit = 1 << i
         merged = {}
-        for key, poly in groups.items():
-            poly = _int_mul(poly, p if key >> i & 1 else q)
-            rest = key & ~(1 << i)
-            other = merged.get(rest)
-            merged[rest] = [a + b for a, b in zip_longest(
+        for (mask, key), poly in groups.items():
+            if used[key] & bit:
+                poly = _int_mul(poly, p if mask & bit else q)
+                mask &= ~bit
+            other = merged.get((mask, key))
+            merged[mask, key] = [a + b for a, b in zip_longest(
                 other, poly, fillvalue=0)] if other else poly
         groups = merged
-    num = groups.get(0, [])
-    while num and not num[-1]:
-        num.pop()
-    if not num:
-        return RF_ZERO
+    return {key: poly for (_, key), poly in groups.items()}
+
+
+def _reduced(num: list, den: int, qs: list) -> RationalFunction:
+    """num / (den * prod qs) in canonical form, num a nonzero stripped
+    integer list. A common factor divides some q, so for each q: its
+    content joins den, g = gcd(num, q) comes from the pseudo-remainder of
+    num by q, and both are divided by g. No gcd runs on num itself."""
     kept = [1]
-    for _, q in factors:
+    for q in qs:
         content, q = _primitive(q)
         den *= content
         g, r = q, _remainder(num, q)

@@ -137,9 +137,6 @@ class NCConfig:
     def divisor_of(self, name: str) -> ChowClass:
         return self.by_name[name].divisor
 
-    def outside_log_terminal(self) -> bool:
-        return self._outside
-
     warn_if_outside = _warn_if_outside
 
 
@@ -345,9 +342,6 @@ class DegreeConfig:
 
     def chi_of_open(self, index) -> Fraction:
         return chi_open(self.chi_closed, frozenset(index))
-
-    def outside_log_terminal(self) -> bool:
-        return self._outside
 
     warn_if_outside = _warn_if_outside
 

@@ -144,7 +144,7 @@ def check_spell_elgen(data_x, data_y, i: int) -> CheckReport:
             )
     int_x = integrate_class(config_x, None)
     int_y = integrate_class(config_y, None)
-    c1 = ring.require_tangent_chern().graded_piece(1)
+    c1 = ring.require_tangent_chern()._select(lambda k: k == 1)
     elgen_x = c1 + k_x - div_y
     elgen_y = c1 + k_y - div_x
     acted_x = (elgen_x ** i) * int_x

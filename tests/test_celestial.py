@@ -726,6 +726,63 @@ def test_one_kernel_call_per_selection(monkeypatch):
              for (lab, index), c in fiber.items() if lab == label), rf(0))
 
 
+def test_m_linear_explicit_integral_runs_no_gcd(monkeypatch):
+    # log_chern enters each E_I before the sum, so the kernel's sum is the
+    # integral: no Q(m) class product follows it, and no Euclid gcd or
+    # reducing RationalFunction constructor runs
+    p3 = ring_projective(3)
+    h = p3.basis_class("h")
+    names = [f"D{i}" for i in range(5)]
+    mults = [RF_M, rf(2) * RF_M + rf(1), rf(Fraction(1, 2)) * RF_M + rf(3),
+             rf(-1) * RF_M + rf(4), rf(3) * RF_M + rf(10**18)]
+    config = NCConfig(p3, [Component(n, m, h.scale(rf(1 + i % 2)))
+                           for i, (n, m) in enumerate(zip(names, mults))])
+    strata = [(), ("D0",), ("D1",), ("D4",), ("D0", "D2"), ("D1", "D3"),
+              ("D0", "D1", "D4"), ("D2", "D3", "D4"), ("D0", "D1", "D2", "D3"),
+              ("D0", "D1", "D2", "D3", "D4")]
+    selection = StratumSelection.from_strata(names, strata)
+    assert selection.kind == "explicit"
+    log_chern(config)
+    calls = {"gcd": 0, "__init__": 0}
+    for owner, attr in ((Polynomial, "gcd"), (RationalFunction, "__init__")):
+        def counted(*args, _real=getattr(owner, attr), _key=attr, **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    got = integrate_class(config, selection)
+    assert calls == {"gcd": 0, "__init__": 0}
+    monkeypatch.undo()
+    assert not got.is_constant()
+    assert got == reference_class(config, {frozenset(s) for s in strata})
+
+
+def test_each_m_dependent_name_is_eliminated_once_per_call(monkeypatch):
+    # the terms are grouped once per kernel call, with one integer list
+    # per base label, so the elimination runs once for all four labels
+    entries = []
+
+    def counting(*args):
+        entries.append(args)
+        return eliminate(*args)
+
+    eliminate = exactnum._eliminate
+    monkeypatch.setattr(exactnum, "_eliminate", counting)
+    names = [f"D{i}" for i in range(4)]
+    mults = {"D0": RF_M, "D1": rf(2) * RF_M + rf(1), "D2": rf(Fraction(1, 3)),
+             "D3": rf(-1) * RF_M + rf(5)}
+    labels = {"p": 1, "q": 2, "r": -1, "s": 3}
+    fiber = {(label, frozenset(names[i:i + k])): Fraction(k + i + j, 2)
+             for j, label in enumerate(labels) for i in range(3) for k in range(3)}
+    fibered = FiberedConfig(names, mults, StratumSelection.whole(names), labels, fiber)
+    values = dict(ix_function(fibered).entries)
+    assert len(entries) == 1
+    for label in labels:
+        assert values[label] == sum(
+            (rf(c) * reciprocal_weight(index, mults)
+             for (lab, index), c in fiber.items() if lab == label), rf(0))
+
+
 @pytest.mark.parametrize("core", [("A",), ("A", "C"), ("A", "B", "C")])
 def test_explicit_list_of_a_closed_selection_is_canonical(core):
     names = ("A", "B", "C")

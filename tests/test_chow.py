@@ -138,7 +138,7 @@ def test_blowup_requires_point():
 def test_class_arithmetic_and_grading():
     h = P2.basis_class("h")
     c = P2.one() + h.scale(rf(2)) + (h * h).scale(rf(5))
-    assert c.graded_piece(1) == h.scale(rf(2))
+    assert c._select(lambda k: k == 1) == h.scale(rf(2))
     assert c.positive_part() == c - P2.one()
     assert c.coefficient("h^2") == rf(5)
     assert (-c) + c == P2.zero()
@@ -723,7 +723,7 @@ def test_class_arithmetic_matches_coefficientwise_qm(triple):
     assert_same(-x, ChowClass(ring, {n: -cx[n] for n in cx}))
     assert_same(x.scale(s), ChowClass(ring, {n: cx[n] * rf(s) for n in cx}))
     for k in range(ring.dim + 1):
-        assert_same(x.graded_piece(k), ChowClass(ring, {
+        assert_same(x._select(lambda j: j == k), ChowClass(ring, {
             n: c for n, c in cx.items() if ring.codim_of[n] == k}))
     assert_same(x.positive_part(), ChowClass(ring, {
         n: c for n, c in cx.items() if ring.codim_of[n] > 0}))
@@ -794,7 +794,7 @@ def test_constant_chain_builds_no_rational_function(monkeypatch):
     z = (x * y + y.scale(Fraction(-3, 7))) * x - y * y
     w = (z + BL_P2.one().scale(5)).inverse() * x
     assert built == []
-    assert w.render() and w.graded_piece(1).is_pure_codim(1)
+    assert w.render() and w._select(lambda k: k == 1).is_pure_codim(1)
     assert built == []
     coefficients = w.coeffs
     assert len(built) == len(coefficients) > 0

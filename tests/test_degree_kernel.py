@@ -19,6 +19,7 @@ import time
 import warnings
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 
 import pytest
 
@@ -42,10 +43,33 @@ DECOMPOSED = ((0, 0), (0, 2), (0, -2), (0, Fraction(-3, 2)), (0, Fraction(1, 2))
 CONSTANT = tuple(pair for pair in DECOMPOSED if pair[0] == 0)
 
 
+def values(result):
+    """The (den, sums) of `stratum_sum` as RationalFunctions by key; den
+    is a positive int when the sums are int numerators over it."""
+    den, sums = result
+    if den is None:
+        return sums
+    assert den > 0 and all(type(c) is int and c for c in sums.values())
+    return {key: rf(Fraction(c, den)) for key, c in sums.items()}
+
+
+def cleared_terms(terms):
+    """(I, vector) pairs, vector a dict of rationals by key, in the
+    kernel's input form (I, d, dict of int numerators over d)."""
+    out = []
+    for index, vector in terms:
+        vector = {key: as_fraction(c) for key, c in vector.items()}
+        d = lcm(*(c.denominator for c in vector.values()))
+        out.append((index, d, {key: c.numerator * (d // c.denominator)
+                               for key, c in vector.items()}))
+    return out
+
+
 def kernel(terms, mults, less_one=False):
     """`stratum_sum` on (I, c) pairs, each c the one entry of its vector."""
-    sums = stratum_sum(((index, {0: c}) for index, c in terms), mults, less_one)
-    return sums.get(0, rf(0))
+    sums = stratum_sum(cleared_terms((index, {0: c}) for index, c in terms),
+                       mults, less_one)
+    return values(sums).get(0, rf(0))
 
 
 def all_subsets(names):
@@ -295,7 +319,7 @@ def test_vector_keys_sum_their_own_terms():
              (frozenset("A"), {"z": -1})]
     whole = StratumSelection.whole("ABC")
     for less_one in (False, True):
-        sums = stratum_sum(terms, mults, less_one)
+        sums = values(stratum_sum(cleared_terms(terms), mults, less_one))
         assert set(sums) <= {"p", "q", "z"}
         for key in ("p", "q", "z"):
             own = [(index, vector.get(key, 0)) for index, vector in terms]
@@ -303,8 +327,50 @@ def test_vector_keys_sum_their_own_terms():
                 whole, mults, own, less_one)
         assert sums.get("z", rf(0)) == rf(0)
         assert sums["q"].is_constant()
-    assert stratum_sum([], mults) == {}
-    assert stratum_sum([(frozenset("A"), {}), (frozenset("B"), {"p": 0})], mults) == {}
+    assert values(stratum_sum([], mults)) == {}
+    assert values(stratum_sum(
+        cleared_terms([(frozenset("A"), {}), (frozenset("B"), {"p": 0})]), mults)) == {}
+
+
+@pytest.mark.parametrize("less_one", [False, True])
+def test_integer_input_form(less_one):
+    # terms come in as (I, d, dict of ints over d); each result is the
+    # reference sum of the rationals c/d of its own key
+    whole = StratumSelection.whole("ABC")
+
+    def check(terms, mults):
+        sums = values(stratum_sum(terms, mults, less_one))
+        for key in ("x", "y", "z"):
+            own = [(index, Fraction(vector.get(key, 0), d)) for index, d, vector in terms]
+            assert sums.get(key, rf(0)) == reference_stratum_sum(
+                whole, mults, own, less_one)
+        return sums
+
+    # denominators d > 1 that differ between terms
+    differ = [(frozenset("A"), 3, {"x": 1, "y": 2}), (frozenset("AB"), 4, {"x": 5, "y": -2}),
+              (frozenset(), 6, {"y": 1}), (frozenset("BC"), 10, {"x": -7})]
+    linear = {"A": RF_M, "B": rf(2) * RF_M + rf(1), "C": rf(Fraction(1, 3))}
+    constant = {"A": rf(2), "B": rf(Fraction(1, 2)), "C": rf(Fraction(1, 3))}
+    for mults in (linear, constant):
+        assert set(check(differ, mults)) == {"x", "y"}
+    # all constant, with 1 + m < 0 at A and B: the sums are ints over a
+    # positive denominator
+    negative = {"A": rf(Fraction(-5, 2)), "B": rf(-3), "C": rf(7)}
+    den, sums = stratum_sum(differ, negative, less_one)
+    assert den > 0 and set(sums) == {"x", "y"}
+    check(differ, negative)
+    # m = 2m + 1 at A: q = 2 + 2m has content 2
+    content = {"A": rf(2) * RF_M + rf(1), "B": RF_M, "C": rf(-2)}
+    sums = check(differ, content)
+    assert all(v.den.coeffs[-1] == 1 for v in sums.values())
+    # a key whose terms cancel, and an index set that occurs twice
+    cancel = [(frozenset("A"), 2, {"x": 1, "z": 3}), (frozenset("AB"), 1, {"z": 5}),
+              (frozenset("A"), 4, {"x": 1, "z": -6}), (frozenset("AB"), 3, {"z": -15}),
+              (frozenset("C"), 1, {"y": 2})]
+    for mults in (linear, constant, negative, content):
+        sums = check(cancel, mults)
+        assert "z" not in sums and set(sums) == {"x", "y"}
+    assert values(stratum_sum([], linear)) == {}
 
 
 # seeds cycle through constant, m-linear, parsed and mixed multiplicities
@@ -323,7 +389,7 @@ def test_vector_form_matches_the_reference_per_key(seed):
               for index, vector in terms if "c" in vector]
     whole = StratumSelection.whole(names)
     for less_one in (False, True):
-        sums = stratum_sum(terms, mults, less_one)
+        sums = values(stratum_sum(cleared_terms(terms), mults, less_one))
         assert sums.get("c", rf(0)) == rf(0)
         for key in keys:
             own = [(index, vector[key]) for index, vector in terms if key in vector]

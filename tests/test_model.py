@@ -111,11 +111,11 @@ def test_config_decomposition_consistency():
 def test_config_regime_warning():
     h = P2.basis_class("h")
     config = NCConfig(P2, [Component("D", rf(-2), h)])
-    assert config.outside_log_terminal()
+    assert config._outside
     with pytest.warns(RegimeWarning):
         config.warn_if_outside()
     fine = NCConfig(P2, [Component("D", RF_M, h)])
-    assert not fine.outside_log_terminal()
+    assert not fine._outside
 
 
 def test_selection_constructors():
