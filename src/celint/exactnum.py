@@ -606,8 +606,9 @@ def stratum_sum(terms, mults: dict, less_one: bool = False) -> tuple:
                 bottom *= q
         f = top * (whole // bottom)
         for key, c in vector.items():
-            groups[mask, key] = groups.get((mask, key), 0) + c * f
-            used[key] = used.get(key, 0) | mask
+            if c:
+                groups[mask, key] = groups.get((mask, key), 0) + c * f
+                used[key] = used.get(key, 0) | mask
     if not factors:
         sign = -1 if den < 0 else 1
         return sign * den, {key: sign * c for (_, key), c in groups.items() if c}
@@ -624,11 +625,8 @@ def stratum_sum(terms, mults: dict, less_one: bool = False) -> tuple:
 def _parts(mult: RationalFunction, less_one: bool) -> tuple:
     """The integer lists (p, q) with x = p/q for one multiplicity m."""
     num, den = mult.num.coeffs, mult.den.coeffs
-    if len(num) == 1 and len(den) == 1:
-        n, d = [num[0].numerator], [num[0].denominator]
-    else:
-        _, ints = cleared(num + den)
-        n, d = ints[:len(num)], ints[len(num):]
+    _, ints = cleared(num + den)
+    n, d = ints[:len(num)], ints[len(num):]
     q = [a + b for a, b in zip_longest(d, n, fillvalue=0)]
     if q == [0]:
         raise ZeroDenominator("rational function with zero denominator")
@@ -639,7 +637,8 @@ def _eliminate(groups: dict, factors: list, used: dict) -> dict:
     """Each key's integer list over prod q_i, from the ints of groups by
     (mask, key): the name of bit i, with (p_i, q_i) = factors[i], goes by
     multiplying each group by p_i or q_i and merging it with the group
-    that differs only at i, except for keys whose terms never hold it."""
+    that differs only at i, except for keys whose nonzero entries never
+    hold it."""
     groups = {entry: [c] for entry, c in groups.items() if c}
     for i, (p, q) in enumerate(factors):
         bit = 1 << i
