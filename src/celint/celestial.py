@@ -102,22 +102,24 @@ def selection_class(config: NCConfig, selection: StratumSelection) -> ChowClass:
 
     With F_i = 1 + E_i/(1+m_i), the whole sum is the product of all F_i,
     and closed(L)'s the product over i outside L times (the product over
-    L, minus 1): constant factors in one integer `times_one_plus` pass,
-    m-dependent ones in Q(m). For each listed I of at most dim members,
-    an explicit selection builds the integer class log_chern * prod_I E_i
-    from its longest prefix, and one `stratum_sum` call sums them.
+    L, minus 1). Each pass starts from log_chern (closed(L)'s outside
+    pass from log_chern times that difference), with the constant F_i in
+    one integer `times_one_plus` pass and the m-dependent ones in Q(m).
+    For each listed I of at most dim members, an explicit selection
+    builds the integer class log_chern * prod_I E_i from its longest
+    prefix, and one `stratum_sum` call sums them.
     """
     start = log_chern(config)
     selection = _selection_for(config, selection)
     ring = config.ring
     if selection.kind == "whole":
-        return start * _weighted_product(config, config.names, ring.one())
+        return _weighted_product(config, config.names, start)
     if selection.kind == "closed":
         core = selection.core
         inside = _weighted_product(
-            config, (n for n in config.names if n in core), ring.one())
-        return start * _weighted_product(
-            config, (n for n in config.names if n not in core), inside - ring.one())
+            config, (n for n in config.names if n in core), start)
+        return _weighted_product(
+            config, (n for n in config.names if n not in core), inside - start)
     order = {name: i for i, name in enumerate(config.names)}
     products, terms = {(): start}, []
     for index in selection.strata:

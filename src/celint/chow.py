@@ -12,10 +12,11 @@ Class coefficients live in Q(m), so one class value can carry a whole
 family of computations; evaluation at a rational m specializes it. A
 class whose coefficients all lie in Q, the common case, is held as one
 vector of Python ints over a positive common denominator, reduced so
-that the denominator and the numerators share no factor; its sums,
-scalings, products and inverses stay in ints. Only a class with an
-m-dependent coefficient holds RationalFunctions, and it takes the Q(m)
-arithmetic.
+that the denominator and the numerators share no factor. Its sums and
+scalings stay in ints, and its products, inverses, push-forwards and
+pullbacks each run as one pass over unreduced int numerators, reduced
+once at the end. Only a class with an m-dependent coefficient holds
+RationalFunctions, and it takes the Q(m) arithmetic.
 """
 
 from __future__ import annotations
@@ -356,17 +357,7 @@ class ChowClass:
         if not ints:
             xs, ys = self.coeffs, other.coeffs
         d, rows = self.ring.table
-        out = {}
-        for a, xa in xs.items():
-            row = rows[a]
-            for b, yb in ys.items():
-                entries = row.get(b)
-                if entries:
-                    xy = xa * yb
-                    for name, k in entries:
-                        term = xy if k == 1 else k * xy
-                        prev = out.get(name)
-                        out[name] = term if prev is None else prev + term
+        out = _table_times(rows, xs, ys, {})
         if ints:
             return ChowClass._from_ints(
                 self.ring, self._den * other._den * d,
@@ -390,17 +381,9 @@ class ChowClass:
         den, ints = self._den, self._ints
         for p, q, x in factors:
             scale = q * x._den * d
-            out = {n: v * scale for n, v in ints.items()}
-            for a, v in ints.items():
-                row = rows[a]
-                for b, w in x._ints.items():
-                    entries = row.get(b)
-                    if entries:
-                        vw = p * v * w
-                        for name, k in entries:
-                            out[name] = out.get(name, 0) + k * vw
+            xs = x._ints if p == 1 else {b: p * w for b, w in x._ints.items()}
+            ints = _table_times(rows, ints, xs, {n: v * scale for n, v in ints.items()})
             den *= scale
-            ints = out
         sign = -1 if den < 0 else 1
         return ChowClass._from_ints(
             self.ring, sign * den, {n: sign * v for n, v in ints.items() if v})
@@ -428,18 +411,37 @@ class ChowClass:
 
         With u = -(positive part)/c0 the inverse is (1/c0) * sum u^k;
         u is nilpotent, so the series terminates after dim steps.
+
+        In integer form (n0 + N)/D, with d the table's denominator, the
+        raw powers W_0 = 1 and W_k = W_(k-1)*(-N) over the table give
+        u^k = W_k/(n0*d)^k, so the inverse is D * sum W_k*(n0*d)^(dim-k)
+        over n0*(n0*d)^dim, reduced once.
         """
         fundamental = self.ring.fundamental
-        if self._ints is not None:
-            n0 = self._ints.get(fundamental)
-            inv_c0 = None if n0 is None else Fraction(self._den, n0)
-        else:
-            c0 = self._coeffs.get(fundamental)
-            inv_c0 = None if c0 is None else _scalar(RF_ONE / c0)
-        if inv_c0 is None:
+        coeffs = self._coeffs if self._ints is None else self._ints
+        if fundamental not in coeffs:
             raise DivisionByZero(
                 "cannot invert a class with zero codimension-0 part"
             )
+        if self._ints is not None:
+            n0 = self._ints[fundamental]
+            d, rows = self.ring.table
+            step, dim = n0 * d, self.ring.dim
+            minus = {n: -v for n, v in self._ints.items() if n != fundamental}
+            scale = top = step ** dim
+            total = {fundamental: scale}
+            power = {n: v * d for n, v in minus.items()}
+            # W_k holds names of codimension k or more, so W_(dim+1) = 0
+            while any(power.values()):
+                scale //= step
+                for n, v in power.items():
+                    total[n] = total.get(n, 0) + v * scale
+                power = _table_times(rows, power, minus, {})
+            den = n0 * top
+            sign = self._den if den > 0 else -self._den
+            return ChowClass._from_ints(
+                self.ring, abs(den), {n: sign * v for n, v in total.items() if v})
+        inv_c0 = _scalar(RF_ONE / self._coeffs[fundamental])
         unit = inv_c0 == 1
         u = -self.positive_part()
         if not unit:
@@ -522,6 +524,22 @@ def _times(rows: dict, entries, c: str) -> dict:
         for res, kc in rows[name].get(c, ()):
             out[res] = out.get(res, 0) + k * kc
     return {n: v for n, v in out.items() if v}
+
+
+def _table_times(rows: dict, xs: dict, ys: dict, out: dict) -> dict:
+    """out plus the numerators, over the table's d, of the product of the
+    combinations xs and ys (by basis name) read off the table's rows."""
+    for a, xa in xs.items():
+        row = rows[a]
+        for b, yb in ys.items():
+            entries = row.get(b)
+            if entries:
+                xy = xa * yb
+                for name, k in entries:
+                    term = xy if k == 1 else k * xy
+                    prev = out.get(name)
+                    out[name] = term if prev is None else prev + term
+    return out
 
 
 def _sum_ints(x: ChowClass, y: ChowClass) -> ChowClass:
@@ -655,12 +673,21 @@ class PushForwardMap:
 
 
 def _image(ring: ChowRing, images: dict, c: ChowClass) -> ChowClass:
-    """The sum over the basis names of c of its coefficient times images[name]."""
-    terms, d = (c._ints, c._den) if c.is_constant() else (c._coeffs, 1)
-    out = ring.zero()
-    for name, coeff in terms.items():
-        out = out + images[name].scale(coeff)
-    return out if d == 1 else out.scale(Fraction(1, d))
+    """The sum over the basis names of c of its coefficient times images[name].
+    The images are constant (`PushForwardMap._validate` checks that first),
+    so a class in integer form maps in one integer pass: with L the lcm of
+    the images' denominators e_n, sum v_n*(L/e_n)*images[n] over c._den*L."""
+    if c._ints is None:
+        return sum((images[n].scale(v) for n, v in c._coeffs.items()), ring.zero())
+    common = lcm(*(images[n]._den for n in c._ints))
+    out = {}
+    for name, v in c._ints.items():
+        image = images[name]
+        k = v * (common // image._den)
+        for n, w in image._ints.items():
+            out[n] = out.get(n, 0) + k * w
+    return ChowClass._from_ints(
+        ring, c._den * common, {n: v for n, v in out.items() if v})
 
 
 class _ClassAlgebra(Operators):

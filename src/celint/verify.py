@@ -118,6 +118,7 @@ def check_necfacts(base: ChowRing, divisors=()) -> list:
     ctv = base.require_tangent_chern()
     pt = base.basis_class(base.point)
     one = upstairs.one()
+    log_ctw = ctw * (one + e).inverse()
     context = f"blow-up of a point in a dim-{d} catalog ring"
     reports = [
         _compare(
@@ -128,29 +129,28 @@ def check_necfacts(base: ChowRing, divisors=()) -> list:
         ),
         _compare(
             "necfacts3",
-            blowdown.push(ctw * e * (one + e).inverse()),
+            blowdown.push(log_ctw * e),
             pt.scale(rf(d)),
             context,
         ),
         _compare(
             "necfacts4",
-            blowdown.push(ctw * (one + e).inverse()),
+            blowdown.push(log_ctw),
             ctv - pt,
             context,
         ),
     ]
     if divisors:
-        lhs_inner = ctw * (one + e).inverse()
         rhs = ctv
         for div in divisors:
             if div.ring is not base:
                 raise RingMismatch("necfacts divisors must live in the base ring")
             transform = blowdown.pull(div) - e
-            lhs_inner = lhs_inner * (one + transform).inverse()
+            log_ctw = log_ctw * (one + transform).inverse()
             rhs = rhs * (base.one() + div).inverse()
         reports.append(_compare(
             "necfacts5",
-            blowdown.push(lhs_inner),
+            blowdown.push(log_ctw),
             rhs,
             context + f"; {len(divisors)} divisor(s) through the center",
         ))

@@ -6,6 +6,10 @@ proper transforms under a point blow-up and the pairing of a
 stratumwise function with Euler characteristics. No verb or `verify` suite
 needs them; the tests check the program's answers against them. The
 checkers report in the form of `celint.verify`'s own checkers.
+
+`reference_inverse` is the geometric series of a class inverse in plain
+class products, so references that invert a class do not reuse the
+`ChowClass.inverse` kernel they check.
 """
 
 from fractions import Fraction
@@ -22,6 +26,22 @@ from celint.errors import (
 from celint.exactnum import RationalFunction, as_fraction, rf
 from celint.model import NCConfig
 from celint.verify import CheckReport, _compare, _describe_config
+
+
+def reference_inverse(x: ChowClass) -> ChowClass:
+    """The inverse of x as sum_k (-1)^k n^k / c0^(k+1), with c0 the
+    codimension-0 coefficient of x and n its positive part."""
+    ring = x.ring
+    c0 = x.coefficient(ring.fundamental)
+    n = x.positive_part()
+    result = ring.one().scale(rf(1) / c0)
+    power = ring.one()
+    for k in range(1, ring.dim + 1):
+        power = power * n
+        if power.is_zero():
+            break
+        result = result + power.scale(rf((-1) ** k) / c0 ** (k + 1))
+    return result
 
 
 def total_divisor_class(config: NCConfig) -> ChowClass:

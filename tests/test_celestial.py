@@ -47,7 +47,7 @@ from celint.model import (
 from celint.modelfile import load_chain, load_model, ring_literal
 
 from conftest import read_fixture, time_limit
-from oracles import paired_total, stringy_hypersurface
+from oracles import paired_total, reference_inverse, stringy_hypersurface
 
 P2 = ring_projective(2)
 RF_M = parse_rf("m")
@@ -150,7 +150,7 @@ def subset_sum_form2(config):
                 m = config.mult_of(name)
                 weight = weight * (m / (rf(1) + m))
                 div = config.divisor_of(name)
-                cls = cls * div * (ring.one() + div).inverse()
+                cls = cls * div * reference_inverse(ring.one() + div)
             total = total + cls.scale(weight if size % 2 == 0 else -weight)
     return total
 
@@ -167,7 +167,7 @@ def subset_sum_form3(config):
             cls = ring.require_tangent_chern()
             for name in index:
                 weight = weight * config.mult_of(name)
-                cls = cls * (ring.one() + config.divisor_of(name)).inverse()
+                cls = cls * reference_inverse(ring.one() + config.divisor_of(name))
             total = total + cls.scale(weight)
     return total.scale(prefactor)
 
@@ -196,7 +196,7 @@ def per_component_log_chern(config):
     ring = config.ring
     total = ring.require_tangent_chern()
     for comp in config.components:
-        total = total * (ring.one() + comp.divisor).inverse()
+        total = total * reference_inverse(ring.one() + comp.divisor)
     return total
 
 
@@ -545,7 +545,7 @@ def reference_class(config, strata):
     log_part = ring.one()
     for comp in config.components:
         log_part = log_part * (ring.one() + comp.divisor)
-    return ring.require_tangent_chern() * log_part.inverse() * total
+    return ring.require_tangent_chern() * reference_inverse(log_part) * total
 
 
 def reference_chi_open(table, index):

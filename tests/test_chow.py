@@ -29,7 +29,7 @@ from celint.exactnum import rf
 from celint.exprparse import parse_rf
 from celint.modelfile import ring_literal
 
-from oracles import proper_transform
+from oracles import proper_transform, reference_inverse
 
 P2 = ring_projective(2)
 P3 = ring_projective(3)
@@ -538,22 +538,8 @@ def test_constant_products_skip_polynomial_arithmetic(monkeypatch):
     assert x * x * y == y * x * x
 
 
-# ChowClass.inverse divides by c0 once; the reference is the geometric
-# series it replaced, sum_k (-1)^k n^k / c0^(k+1) with n the positive part.
-
-
-def reference_inverse(x):
-    ring = x.ring
-    c0 = x.coefficient(ring.fundamental)
-    n = x.positive_part()
-    result = ring.one().scale(rf(1) / c0)
-    power = ring.one()
-    for k in range(1, ring.dim + 1):
-        power = power * n
-        if power.is_zero():
-            break
-        result = result + power.scale(rf((-1) ** k) / c0 ** (k + 1))
-    return result
+# ChowClass.inverse against the geometric series in plain class products
+# (`oracles.reference_inverse`).
 
 
 INVERSE_RINGS = [
@@ -793,12 +779,77 @@ def test_constant_chain_builds_no_rational_function(monkeypatch):
     monkeypatch.setattr(RationalFunction, "__init__", counting_init)
     z = (x * y + y.scale(Fraction(-3, 7))) * x - y * y
     w = (z + BL_P2.one().scale(5)).inverse() * x
+    down = ring_blowup_point(P2)[1]
+    v = down.pull(down.push(w.scale(Fraction(2, 9))) + P2.basis_class("h")) * w
     assert built == []
     assert w.render() and w._select(lambda k: k == 1).is_pure_codim(1)
+    assert v.render() and v.is_constant()
     assert built == []
     coefficients = w.coeffs
     assert len(built) == len(coefficients) > 0
     assert w.coeffs is coefficients and len(built) == len(coefficients)
+
+
+def count_from_ints(monkeypatch):
+    """Patch ChowClass._from_ints to record each call; return the record."""
+    calls = []
+    from_ints = ChowClass._from_ints.__func__
+
+    def counting(cls, ring, den, ints):
+        calls.append(den)
+        return from_ints(cls, ring, den, ints)
+
+    monkeypatch.setattr(ChowClass, "_from_ints", classmethod(counting))
+    return calls
+
+
+def forbid(monkeypatch, owner, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"called {name}")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
+# The integer-form inverse and push/pull are each one integer pass,
+# normalized by a single `_from_ints` at the end.
+
+
+@pytest.mark.parametrize("text, ring", [
+    ("3/2 - h + 2*h^2/3 - h^3 + 5*h^5/7", ring_projective(5)),
+    ("-1 + h/4 - h^2 + h^4", ring_projective(5)),
+    ("-2/3 + a - b/2 + 3*p", RATIONAL_LITERAL),
+    ("5 + a/7", RATIONAL_LITERAL),
+], ids=("P5", "P5-negative-unit", "literal", "literal-short"))
+def test_integer_inverse_normalizes_once_and_makes_no_product(monkeypatch, text, ring):
+    x = parse_class(text, ring)
+    expected = reference_inverse(x)
+    calls = count_from_ints(monkeypatch)
+    forbid(monkeypatch, ChowClass, "__mul__")
+    inverse = x.inverse()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert_same(inverse, expected)
+    assert x * inverse == ring.one()
+
+
+def test_integer_push_and_pull_normalize_once(monkeypatch):
+    from celint import chow
+
+    bl2, down, _ = ring_blowup_point(BL_P2)
+    x = parse_class("-2/3 + h/5 - 7*e1/4 + e2/6 + 3*h^2/10", bl2)
+    y = parse_class("1/2 - 3*h + 4*e1/9 - h^2", BL_P2)
+    expected = (down.push(x), down.pull(y))
+    calls = count_from_ints(monkeypatch)
+    forbid(monkeypatch, ChowClass, "scale")
+    forbid(monkeypatch, chow, "_sum_ints")
+    pushed = down.push(x)
+    assert len(calls) == 1
+    pulled = down.pull(y)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert (pushed, pulled) == expected
+    assert_same(pushed, parse_class("-2/3 + h/5 - 7*e1/4 + 3*h^2/10", BL_P2))
+    assert_same(pulled, parse_class("1/2 - 3*h + 4*e1/9 - h^2", bl2))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
