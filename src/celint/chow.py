@@ -16,7 +16,9 @@ that the denominator and the numerators share no factor. Its sums and
 scalings stay in ints, and its products, inverses, push-forwards and
 pullbacks each run as one pass over unreduced int numerators, reduced
 once at the end. Only a class with an m-dependent coefficient holds
-RationalFunctions, and it takes the Q(m) arithmetic.
+RationalFunctions. A constant factor or scalar meets it as Fractions,
+which scale its numerators with no gcd, so Q(m) gcds run only in sums
+and in products of two such classes.
 """
 
 from __future__ import annotations
@@ -239,12 +241,15 @@ class ChowClass:
     __slots__ = ("ring", "_den", "_ints", "_coeffs")
 
     def __init__(self, ring: ChowRing, coeffs: dict):
-        values = {}
-        for name, c in coeffs.items():
+        """Ints and Fractions go to the integer form with no RationalFunction."""
+        for name in coeffs:
             if name not in ring.codim_of:
                 raise RingMismatch(f"{name!r} is not a basis element of this ring")
-            values[name] = rf(c)
-        _fill(self, ring, values)
+        if all(type(c) in (int, Fraction) for c in coeffs.values()):
+            den, ints = cleared(coeffs.values())
+            _set_ints(self, ring, den, {n: v for n, v in zip(coeffs, ints) if v})
+        else:
+            _fill(self, ring, {n: rf(c) for n, c in coeffs.items()})
 
     @classmethod
     def _make(cls, ring: ChowRing, coeffs: dict) -> "ChowClass":
@@ -258,16 +263,8 @@ class ChowClass:
     def _from_ints(cls, ring: ChowRing, den: int, ints: dict) -> "ChowClass":
         """Trusted constructor of the integer form: den > 0 and ints maps
         basis names of ring to nonzero ints; common factors are removed."""
-        if den != 1:
-            g = gcd(den, *ints.values())
-            if g != 1:
-                den //= g
-                ints = {n: v // g for n, v in ints.items()}
         self = object.__new__(cls)
-        _set(self, "ring", ring)
-        _set(self, "_den", den)
-        _set(self, "_ints", ints)
-        _set(self, "_coeffs", None)
+        _set_ints(self, ring, den, ints)
         return self
 
     def __setattr__(self, name, value):
@@ -277,11 +274,8 @@ class ChowClass:
     def coeffs(self) -> dict:
         """The nonzero coefficients as RationalFunctions, by basis name."""
         if self._coeffs is None:
-            d = self._den
             constant = RationalFunction.constant
-            _set(self, "_coeffs", {
-                n: constant(Fraction(v, d)) for n, v in self._ints.items()
-            })
+            _set(self, "_coeffs", {n: constant(q) for n, q in self._values().items()})
         return self._coeffs
 
     def _check_ring(self, other: "ChowClass"):
@@ -332,36 +326,46 @@ class ChowClass:
         return self + (-other)
 
     def scale(self, c) -> "ChowClass":
+        """c times this class: in ints when both are constant, else with
+        any constant side as a Fraction on the left, which
+        `RationalFunction.__rmul__` takes with no gcd."""
         c = _scalar(c)
         if c == 0:
             return self.ring.zero()
-        if self._ints is not None and type(c) is Fraction:
-            k = c.numerator
-            return ChowClass._from_ints(
-                self.ring, self._den * c.denominator,
-                {n: v * k for n, v in self._ints.items()})
-        c = rf(c)
-        return ChowClass._make(self.ring, {n: v * c for n, v in self.coeffs.items()})
+        if type(c) is not Fraction:
+            return ChowClass._make(self.ring, {n: x * c for n, x in self._values().items()})
+        if self._ints is None:
+            return ChowClass._make(self.ring, {n: c * v for n, v in self._coeffs.items()})
+        k = c.numerator
+        return ChowClass._from_ints(
+            self.ring, self._den * c.denominator, {n: v * k for n, v in self._ints.items()})
+
+    def _values(self) -> dict:
+        """The nonzero coefficients: Fractions for an integer form."""
+        if self._ints is None:
+            return self._coeffs
+        d = self._den
+        return {n: Fraction(v, d) for n, v in self._ints.items()}
 
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         """Product in the ring, in one loop over the ring's `table`.
 
         Two classes in integer form multiply in Python ints, with the
         common factors removed once at the end. Any other pair
-        multiplies its Q(m) coefficients and divides by the table's
-        denominator once at the end.
+        multiplies its coefficients in Q(m) and divides by the table's
+        denominator once at the end; a factor in integer form enters as
+        Fractions on the left (the table is symmetric), so its products
+        take `RationalFunction.__rmul__` and run no gcd.
         """
         self._check_ring(other)
-        xs, ys = self._ints, other._ints
-        ints = xs is not None and ys is not None
-        if not ints:
-            xs, ys = self.coeffs, other.coeffs
         d, rows = self.ring.table
-        out = _table_times(rows, xs, ys, {})
-        if ints:
+        if self._ints is not None and other._ints is not None:
+            out = _table_times(rows, self._ints, other._ints, {})
             return ChowClass._from_ints(
                 self.ring, self._den * other._den * d,
                 {n: v for n, v in out.items() if v})
+        x, y = (other, self) if other._ints is not None else (self, other)
+        out = _table_times(rows, x._values(), y._coeffs, {})
         if d != 1:
             inv = Fraction(1, d)
             out = {n: inv * v for n, v in out.items()}
@@ -499,6 +503,19 @@ class ChowClass:
 
     def __repr__(self):
         return f"ChowClass({self.render()!r})"
+
+
+def _set_ints(self: ChowClass, ring: ChowRing, den: int, ints: dict):
+    """Set the slots of a new class in integer form, as `_from_ints` says."""
+    if den != 1:
+        g = gcd(den, *ints.values())
+        if g != 1:
+            den //= g
+            ints = {n: v // g for n, v in ints.items()}
+    _set(self, "ring", ring)
+    _set(self, "_den", den)
+    _set(self, "_ints", ints)
+    _set(self, "_coeffs", None)
 
 
 def _fill(self: ChowClass, ring: ChowRing, values: dict):

@@ -194,7 +194,11 @@ class Polynomial:
         return self.scale(1 / lead)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
+        """The monic gcd by Euclid over Q; with a side of degree 1, that side
+        made monic if the other vanishes at its root, else 1."""
+        a, b = (other, self) if other.degree == 1 else (self, other)
+        if a.degree == 1:
+            return a.monic() if not b.evaluate(-a.coeffs[0] / a.coeffs[1]) else ONE_POLY
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
         return a.monic()
@@ -367,7 +371,7 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __rmul__(self, k) -> "RationalFunction":
-        """k * self for a nonzero int or Fraction k, which keeps the form canonical."""
+        """k * self for a nonzero int or Fraction k, canonical without a gcd."""
         return RationalFunction._make(self.num.scale(k), self.den)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":

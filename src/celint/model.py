@@ -32,7 +32,7 @@ from .errors import (
     UndefinedMultiplicity,
     UniverseMismatch,
 )
-from .exactnum import RF_M, RationalFunction, as_fraction, rf
+from .exactnum import RationalFunction, as_fraction, rf
 
 
 class Component(namedtuple(
@@ -75,10 +75,13 @@ def _mult_table(names, mults) -> tuple:
 
 
 def _check_decomposition(name, mult, decomposition):
+    """Check mult against a*m + k, whose canonical form is the numerator
+    (k, a) without trailing zeros over the denominator 1."""
     if decomposition is None:
         return
     a, k = decomposition
-    if mult != rf(a) * RF_M + rf(k):
+    want = (k, a) if a else (k,) if k else ()
+    if mult.den.coeffs != (1,) or mult.num.coeffs != want:
         raise SchemaError(
             f"component {name!r} multiplicity disagrees with its decomposition"
         )

@@ -196,7 +196,7 @@ def _rand_divisor(rng: random.Random, ring: ChowRing) -> ChowClass:
         for name in names:
             c = rng.choice((-1, 0, 0, 1, 1, 2))
             if c:
-                coeffs[name] = rf(c)
+                coeffs[name] = c
     return ChowClass(ring, coeffs)
 
 

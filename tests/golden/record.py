@@ -6,8 +6,8 @@ every fixture in both output formats; on every fixture the stored
 selection overridden by `whole`, `empty` and `closed:` its first
 component, the coefficients evaluated at m = 3/2, and each stored chain
 pushed through `--manifest`, on each verb that takes the option; plus
-one seeded `verify all`. The exit code, stdout and stderr of each are
-written to `tests/golden/outputs.json`.
+two seeded `verify all` runs, in text and in JSON. The exit code,
+stdout and stderr of each are written to `tests/golden/outputs.json`.
 
 Re-record only when an output is meant to change:
 
@@ -64,6 +64,7 @@ def cases():
             for chain in sorted(data.get("chains") or {}) for verb in CHAIN_VERBS
         ]
     out.append(["verify", "all", "--instances", "20", "--seed", "1"])
+    out.append(["verify", "all", "--instances", "30", "--seed", "7", "--format", "json"])
     return out
 
 

@@ -516,6 +516,41 @@ def test_constant_products_match_the_qm_loop(pair):
     assert (x * z).render() == reference_product(x, z).render()
 
 
+# A class in integer form meets a Q(m) class as Fractions on the left of
+# each coefficient product, in either order of the factors.
+
+QM_TEXTS = ("m", "1 + m", "m/(1 + m)", "(2 - m)/(3 + m)^2", "1/(1 + 2*m)")
+
+
+@st.composite
+def mixed_pairs(draw):
+    """A class in integer form and a class with an m-dependent
+    coefficient, on one ring."""
+    ring = draw(st.sampled_from(CONSTANT_RINGS + BLOWN_UP))
+    names = ring.all_names
+    constant = ChowClass(ring, {
+        name: parse_rf(draw(st.sampled_from(CONSTANT_TEXTS)))
+        for name in names if draw(st.booleans())})
+    dependent = {name: parse_rf(draw(st.sampled_from(MIXED_TEXTS)))
+                 for name in names if draw(st.booleans())}
+    dependent[draw(st.sampled_from(names))] = parse_rf(draw(st.sampled_from(QM_TEXTS)))
+    return constant, ChowClass(ring, dependent)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mixed_pairs())
+@example((parse_class("1/2 + 6*a - 5*b", RATIONAL_LITERAL),
+          parse_class("m*a + b/(1 + m) - p", RATIONAL_LITERAL)))
+@example((parse_class("-2/3 + a/7", RATIONAL_LITERAL),
+          parse_class("1 + (2 - m)*b/(3 + m)^2", RATIONAL_LITERAL)))
+def test_mixed_products_match_reference_product(pair):
+    x, y = pair
+    assert x.is_constant() and not y.is_constant()
+    assert_same(x * y, reference_product(x, y))
+    assert_same(y * x, reference_product(y, x))
+    assert x * y == y * x
+
+
 def test_integer_table_has_one_common_denominator():
     assert [ring.table[0] for ring in CONSTANT_RINGS] == [1, 1, 1, 1, 30]
     d, rows = RATIONAL_LITERAL.table
@@ -720,8 +755,12 @@ def test_class_arithmetic_matches_coefficientwise_qm(triple):
         degree = degree + cx[n] * rf(ring.degree_values[n])
     assert x.degree() == degree
     point = Fraction(29, 7)
-    assert_same(x.evaluate(point), ChowClass(ring, {
+    constant = x.evaluate(point)
+    assert_same(constant, ChowClass(ring, {
         n: rf(c.evaluate(point)) for n, c in cx.items()}))
+    for q in (RF_M, parse_rf("1/(1 + m)"), parse_rf("(2 - m)/(3 + m)^2")):
+        assert_same(constant.scale(q), ChowClass(ring, {
+            n: c * q for n, c in constant.coeffs.items()}))
     if not cx[ring.fundamental].is_zero():
         inverse = x.inverse()
         assert_same(inverse, reference_inverse(x))
@@ -758,11 +797,11 @@ def test_equal_values_from_every_construction_agree():
     assert hash(P2.zero()) == hash(h - h)
 
 
-def test_constant_chain_builds_no_rational_function(monkeypatch):
+def count_rational_functions(monkeypatch):
+    """Patch both RationalFunction constructors to record each call;
+    return the record."""
     from celint.exactnum import RationalFunction
 
-    x = parse_class("2 - 3*h + e1/2 + 5*h^2", BL_P2)
-    y = parse_class("-1 + h/3 - 4*e1", BL_P2)
     built = []
     make = RationalFunction._make
     init = RationalFunction.__init__
@@ -777,6 +816,13 @@ def test_constant_chain_builds_no_rational_function(monkeypatch):
 
     monkeypatch.setattr(RationalFunction, "_make", classmethod(counting_make))
     monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    return built
+
+
+def test_constant_chain_builds_no_rational_function(monkeypatch):
+    x = parse_class("2 - 3*h + e1/2 + 5*h^2", BL_P2)
+    y = parse_class("-1 + h/3 - 4*e1", BL_P2)
+    built = count_rational_functions(monkeypatch)
     z = (x * y + y.scale(Fraction(-3, 7))) * x - y * y
     w = (z + BL_P2.one().scale(5)).inverse() * x
     down = ring_blowup_point(P2)[1]
@@ -808,6 +854,64 @@ def forbid(monkeypatch, owner, name):
         raise AssertionError(f"called {name}")
 
     monkeypatch.setattr(owner, name, forbidden)
+
+
+# A Q(m) gcd runs only where both sides of a product depend on m.
+
+
+def count_gcds(monkeypatch):
+    """Patch Polynomial.gcd to record each call; return the record."""
+    from celint.exactnum import Polynomial
+
+    calls = []
+    gcd = Polynomial.gcd
+
+    def counting(self, other):
+        calls.append((self, other))
+        return gcd(self, other)
+
+    monkeypatch.setattr(Polynomial, "gcd", counting)
+    return calls
+
+
+BL2_P2 = ring_blowup_point(BL_P2)[0]
+
+
+@pytest.mark.parametrize("ring, x, divisor, gcds", [
+    (P2, "3/2 - h/4 + 2*h^2", "2*h", 2),
+    (BL2_P2, "1 + 3*h/2 - e1 + e2/3 - 2*h^2", "h - e1 - 2*e2", 6),
+], ids=("P2", "Bl2P2"))
+def test_mixed_class_arithmetic_runs_gcds_only_in_sums(monkeypatch, ring, x, divisor, gcds):
+    x, divisor = parse_class(x, ring), parse_class(divisor, ring)
+    weight = parse_rf("1/(1 + m)")
+    factor = ring.one() + divisor.scale(weight)
+    expected = (ChowClass(ring, {n: c * weight for n, c in x.coeffs.items()}),
+                reference_product(x, factor))
+    calls = count_gcds(monkeypatch)
+    scaled = x.scale(weight)
+    assert calls == []
+    product = x * factor
+    # the gcds come from the sums of the table products, whose
+    # denominators are all 1 + m
+    assert len(calls) == gcds
+    assert all(b == parse_rf("1 + m").num for _, b in calls)
+    monkeypatch.undo()
+    assert_same(scaled, expected[0])
+    assert_same(product, expected[1])
+
+
+@pytest.mark.parametrize("ring", [P2, BL2_P2, RATIONAL_LITERAL], ids=("P2", "Bl2P2", "literal"))
+def test_constant_coefficients_build_no_rational_function(monkeypatch, ring):
+    values = [3, -1, Fraction(2, 3), 0, Fraction(-5, 6), 4, 7, 1]
+    coeffs = dict(zip(ring.all_names, values))
+    expected = ChowClass(ring, {n: rf(c) for n, c in coeffs.items()})
+    built = count_rational_functions(monkeypatch)
+    got = ChowClass(ring, coeffs)
+    integral = ChowClass(ring, {ring.all_names[-1]: 2})
+    assert built == []
+    monkeypatch.undo()
+    assert_same(got, expected)
+    assert_same(integral, ring.basis_class(ring.all_names[-1]).scale(2))
 
 
 # The integer-form inverse and push/pull are each one integer pass,

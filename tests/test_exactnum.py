@@ -63,6 +63,93 @@ def test_polynomial_gcd_is_monic():
     assert g.leading() == 1
 
 
+def euclid_gcd(a, b):
+    """Monic gcd of two ascending Fraction lists by Euclid's algorithm,
+    written out here apart from `Polynomial`."""
+    def strip(p):
+        p = list(p)
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    a, b = strip(a), strip(b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            t, shift = r[-1] / b[-1], len(r) - len(b)
+            for j, c in enumerate(b):
+                r[shift + j] -= t * c
+            r = strip(r)
+        a, b = b, r
+    return [c / a[-1] for c in a] if a else []
+
+
+def linear_gcd_cases(seed):
+    """(linear factor, other side) pairs drawn at one seed: non-monic
+    factors with Fraction coefficients, against multiples of the factor,
+    random polynomials, constants and zero."""
+    import random
+
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    def nonzero():
+        return frac() or Fraction(rng.choice((-3, 2, 7)), rng.randint(1, 5))
+
+    def random_poly(degree):
+        return [frac() for _ in range(degree)] + [nonzero()]
+
+    cases = []
+    for _ in range(12):
+        linear = [frac(), nonzero()]
+        multiple = (Polynomial(linear) * Polynomial(random_poly(rng.randint(0, 4)))).coeffs
+        cases += [(linear, list(multiple)), (linear, random_poly(rng.randint(0, 5))),
+                  (linear, [nonzero()]), (linear, []), (linear, [frac(), nonzero()])]
+    # a shared root by construction: the other side vanishes at -1/2
+    cases.append(([Fraction(3), Fraction(6)], [Fraction(1), Fraction(4), Fraction(4)]))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_linear_gcd_matches_euclid(seed):
+    degrees = set()
+    for linear, other in linear_gcd_cases(seed):
+        want = Polynomial(euclid_gcd(linear, other))
+        for a, b in ((linear, other), (other, linear)):
+            assert Polynomial(a).gcd(Polynomial(b)) == want, (a, b)
+        degrees.add(want.degree)
+    assert degrees == {0, 1}
+
+
+def test_linear_gcd_runs_no_division(monkeypatch):
+    cases = [case for seed in range(3) for case in linear_gcd_cases(seed)]
+    expected = [Polynomial(euclid_gcd(a, b)) for a, b in cases]
+
+    def forbidden(self, other):
+        raise AssertionError("divided polynomials")
+
+    monkeypatch.setattr(Polynomial, "divmod", forbidden)
+    assert [Polynomial(a).gcd(Polynomial(b)) for a, b in cases] == expected
+    assert [Polynomial(b).gcd(Polynomial(a)) for a, b in cases] == expected
+
+
+def test_linear_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    m = sympy.Symbol("m")
+
+    def to_sympy(coeffs):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(coeffs)] or [0], m, domain="QQ")
+
+    for seed in range(3):
+        for linear, other in linear_gcd_cases(seed):
+            got = Polynomial(linear).gcd(Polynomial(other))
+            want = sympy.gcd(to_sympy(linear), to_sympy(other)).monic()
+            assert to_sympy(got.coeffs) == want, (linear, other)
+
+
 def test_polynomial_evaluate():
     p = poly(1, -3, 2)
     assert p.evaluate(Fraction(0)) == 1

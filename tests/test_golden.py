@@ -18,7 +18,7 @@ CASES = [" ".join(argv) for argv in cases()]
 
 def test_recorded_cases_are_the_current_cases():
     assert sorted(RECORDED) == sorted(CASES)
-    assert len(CASES) == 631
+    assert len(CASES) == 632
 
 
 @pytest.mark.parametrize("case", CASES)

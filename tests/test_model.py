@@ -108,6 +108,28 @@ def test_config_decomposition_consistency():
         NCConfig(P2, [Component("D", RF_M, h, (Fraction(1), Fraction(1)))])
 
 
+def test_decomposition_check_multiplies_no_rational_functions(monkeypatch):
+    from celint.exactnum import RationalFunction
+
+    h = P2.basis_class("h")
+    pairs = [(1, 1), (0, Fraction(3, 2)), (Fraction(-2, 3), 0), (0, 0), (2, Fraction(-1, 4))]
+    good = [Component(f"D{i}", rf(a) * RF_M + rf(k), h, (Fraction(a), Fraction(k)))
+            for i, (a, k) in enumerate(pairs)]
+    bad = [(RF_M, (0, 0)), (RF_M, (1, 1)), (parse_rf("m/(1 + m)"), (1, 0)),
+           (parse_rf("2*m + 1"), (2, 0)), (rf(3), (0, 0)), (rf(0), (0, 1)),
+           (parse_rf("m^2"), (1, 0))]
+
+    def forbidden(self, other):
+        raise AssertionError("multiplied rational functions")
+
+    monkeypatch.setattr(RationalFunction, "__mul__", forbidden)
+    config = NCConfig(P2, good)
+    assert config.names == tuple(c.name for c in good)
+    for mult, (a, k) in bad:
+        with pytest.raises(SchemaError, match="disagrees with its decomposition"):
+            NCConfig(P2, [Component("W", mult, h, (Fraction(a), Fraction(k)))])
+
+
 def test_config_regime_warning():
     h = P2.basis_class("h")
     config = NCConfig(P2, [Component("D", rf(-2), h)])
