@@ -18,7 +18,8 @@ pullbacks each run as one pass over unreduced int numerators, reduced
 once at the end. Only a class with an m-dependent coefficient holds
 RationalFunctions. A constant factor or scalar meets it as Fractions,
 which scale its numerators with no gcd, so Q(m) gcds run only in sums
-and in products of two such classes.
+and in products of two such classes. Its inverse is the integer form's
+one pass, run over RationalFunctions and divided once at the end.
 """
 
 from __future__ import annotations
@@ -397,66 +398,48 @@ class ChowClass:
             return self.inverse() ** (-k)
         return power(self, k, self.ring.one())
 
-    def _select(self, keep) -> "ChowClass":
-        """The part of this class on the basis names whose codimension
-        satisfies keep."""
-        codim_of = self.ring.codim_of
-        if self._ints is not None:
-            return ChowClass._from_ints(self.ring, self._den, {
-                n: v for n, v in self._ints.items() if keep(codim_of[n])})
-        return ChowClass._make(self.ring, {
-            n: c for n, c in self._coeffs.items() if keep(codim_of[n])})
-
-    def positive_part(self) -> "ChowClass":
-        return self._select(lambda k: k > 0)
-
     def inverse(self) -> "ChowClass":
         """Inverse of a class whose codimension-0 part c0 is nonzero.
 
-        With u = -(positive part)/c0 the inverse is (1/c0) * sum u^k;
-        u is nilpotent, so the series terminates after dim steps.
-
-        In integer form (n0 + N)/D, with d the table's denominator, the
-        raw powers W_0 = 1 and W_k = W_(k-1)*(-N) over the table give
-        u^k = W_k/(n0*d)^k, so the inverse is D * sum W_k*(n0*d)^(dim-k)
-        over n0*(n0*d)^dim, reduced once.
+        Write the class as (c0 + N)/D, with D = 1 in Q(m) form, and let d
+        be the table's denominator. The raw powers W_0 = 1 and
+        W_k = W_(k-1)*(-N) over the table, with W_1 = d*(-N), give
+        (-N/c0)^k = W_k/(c0*d)^k, and N is nilpotent, so the inverse is
+        D * sum W_k*(c0*d)^(dim-k) over c0*(c0*d)^dim. One pass builds
+        that sum in either form; a class in integer form is reduced once
+        by `_from_ints`, and a Q(m) class divided by its Q(m) denominator
+        in one `_make`.
         """
-        fundamental = self.ring.fundamental
+        ring = self.ring
+        fundamental, dim = ring.fundamental, ring.dim
         coeffs = self._coeffs if self._ints is None else self._ints
-        if fundamental not in coeffs:
+        c0 = coeffs.get(fundamental)
+        if c0 is None:
             raise DivisionByZero(
                 "cannot invert a class with zero codimension-0 part"
             )
-        if self._ints is not None:
-            n0 = self._ints[fundamental]
-            d, rows = self.ring.table
-            step, dim = n0 * d, self.ring.dim
-            minus = {n: -v for n, v in self._ints.items() if n != fundamental}
-            scale = top = step ** dim
-            total = {fundamental: scale}
-            power = {n: v * d for n, v in minus.items()}
-            # W_k holds names of codimension k or more, so W_(dim+1) = 0
-            while any(power.values()):
-                scale //= step
-                for n, v in power.items():
-                    total[n] = total.get(n, 0) + v * scale
-                power = _table_times(rows, power, minus, {})
-            den = n0 * top
-            sign = self._den if den > 0 else -self._den
-            return ChowClass._from_ints(
-                self.ring, abs(den), {n: sign * v for n, v in total.items() if v})
-        inv_c0 = _scalar(RF_ONE / self._coeffs[fundamental])
-        unit = inv_c0 == 1
-        u = -self.positive_part()
-        if not unit:
-            u = u.scale(inv_c0)
-        result = power = self.ring.one()
-        for _ in range(self.ring.dim):
-            power = power * u
-            if power.is_zero():
-                break
-            result = result + power
-        return result if unit else result.scale(inv_c0)
+        d, rows = ring.table
+        step = d * c0
+        scales = [step ** k for k in range(dim + 1)]
+        minus = {n: -v for n, v in coeffs.items() if n != fundamental}
+        total = {fundamental: scales[dim]}
+        power = {n: d * v for n, v in minus.items()}
+        k = dim
+        # W_k holds names of codimension k or more, so W_(dim+1) is empty
+        while power:
+            k -= 1
+            scale = scales[k]
+            for n, v in power.items():
+                term = scale * v
+                prev = total.get(n)
+                total[n] = term if prev is None else prev + term
+            power = _table_times(rows, power, minus, {})
+        den = c0 * scales[dim]
+        if self._ints is None:
+            return ChowClass._make(ring, {n: v / den for n, v in total.items()})
+        sign = self._den if den > 0 else -self._den
+        return ChowClass._from_ints(
+            ring, abs(den), {n: sign * v for n, v in total.items() if v})
 
     def __truediv__(self, other: "ChowClass") -> "ChowClass":
         self._check_ring(other)
@@ -471,8 +454,9 @@ class ChowClass:
             return RationalFunction.constant(total / self._den)
         total = RF_ZERO
         for name, c in self._coeffs.items():
-            if ring.codim_of[name] == ring.dim:
-                total = total + c * rf(ring.degree_values[name])
+            if ring.codim_of[name] == ring.dim and ring.degree_values[name]:
+                # a Fraction on the left takes `__rmul__`, with no gcd
+                total = total + ring.degree_values[name] * c
         return total
 
     def evaluate(self, x) -> "ChowClass":

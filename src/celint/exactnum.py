@@ -14,8 +14,9 @@ takes a numerator and denominator that are already coprime, with the
 denominator monic (or the numerator zero and the denominator 1). A
 monic constant denominator is 1, which is coprime to every numerator,
 so sums and products of two polynomial values, negations and
-nonnegative powers are built through it without a gcd. A quotient of
-two constants is taken in `Fraction`s.
+nonnegative powers are built through it without a gcd, and so is a
+polynomial plus a reduced p/q, whose sum (a*q + p)/q is reduced too. A
+quotient of two constants is taken in `Fraction`s.
 
 The module is also the home of integer arithmetic. `cleared` puts a
 sequence of Fractions over the lcm of their denominators; evaluation,
@@ -203,9 +204,6 @@ class Polynomial:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial._make([c * k for k, c in enumerate(self.coeffs) if k])
-
     def evaluate(self, x) -> Fraction:
         """The value at x, by Horner's rule in integers: with x = u/v and
         the coefficients over one denominator s, s*v^n*p(x) is an integer."""
@@ -219,28 +217,6 @@ class Polynomial:
             acc = acc * u + c * w
             w *= v
         return Fraction(acc, scale * (w // v))
-
-    def squarefree_factors(self):
-        """Yun decomposition as (monic squarefree factor, multiplicity) pairs."""
-        f = self.monic()
-        if f.degree < 1:
-            return ()
-        df = f.derivative()
-        a = f.gcd(df)
-        b = f.div_exact(a)
-        c = df.div_exact(a)
-        d = c - b.derivative()
-        parts = []
-        mult = 1
-        while b.degree > 0:
-            a = b.gcd(d)
-            if a.degree > 0:
-                parts.append((a, mult))
-            b = b.div_exact(a)
-            c = d.div_exact(a)
-            d = c - b.derivative()
-            mult += 1
-        return tuple(parts)
 
     def render(self) -> str:
         if self.is_zero():
@@ -351,6 +327,11 @@ class RationalFunction:
         if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
             num = self.num + other.num
             return RationalFunction._make(num, ONE_POLY) if num.coeffs else RF_ZERO
+        if len(self.den.coeffs) == 1 or len(other.den.coeffs) == 1:
+            a, f = (self, other) if len(self.den.coeffs) == 1 else (other, self)
+            # a polynomial plus a reduced p/q is (a*q + p)/q, and
+            # gcd(a*q + p, q) = gcd(p, q) = 1
+            return RationalFunction._make(a.num * f.den + f.num, f.den)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
@@ -455,35 +436,22 @@ def _divisors(n: int):
 
 
 class PoleReport:
-    """Rational poles of a rational function, plus any leftover denominator factors.
+    """The rational poles of a rational function."""
 
-    The leftover factors are monic, squarefree, and free of rational
-    roots; they are reported without further factorization.
-    """
+    __slots__ = ("poles",)
 
-    __slots__ = ("poles", "nonrational_factors")
-
-    def __init__(self, poles, nonrational_factors=()):
+    def __init__(self, poles):
         object.__setattr__(self, "poles", frozenset(poles))
-        object.__setattr__(self, "nonrational_factors", tuple(nonrational_factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("PoleReport is immutable")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PoleReport)
-            and self.poles == other.poles
-            and self.nonrational_factors == other.nonrational_factors
-        )
+        return isinstance(other, PoleReport) and self.poles == other.poles
 
     def render(self) -> str:
         parts = [_fraction_str(p) for p in sorted(self.poles)]
-        out = ", ".join(parts) if parts else "none"
-        if self.nonrational_factors:
-            extra = ", ".join(f.render() for f in self.nonrational_factors)
-            out += f"; nonrational factors: {extra}"
-        return out
+        return ", ".join(parts) if parts else "none"
 
 
 def rational_poles(f: RationalFunction) -> PoleReport:
@@ -507,13 +475,7 @@ def rational_poles(f: RationalFunction) -> PoleReport:
     for r in candidates:
         if den.evaluate(r) == 0:
             poles.add(r)
-    leftover = den.monic()
-    for r in sorted(poles):
-        linear = Polynomial((-r, Fraction(1)))
-        while leftover.degree >= 1 and leftover.evaluate(r) == 0:
-            leftover = leftover.div_exact(linear)
-    factors = leftover.squarefree_factors() if leftover.degree >= 1 else ()
-    return PoleReport(frozenset(poles), tuple(base for base, _ in factors))
+    return PoleReport(poles)
 
 
 def _int_mul(a: list, b: list) -> list:

@@ -470,8 +470,8 @@ def load_chain(obj, source: ChowRing, construction, path: str = ""):
     return maps
 
 
-class LoadedModel(namedtuple("LoadedModel", "ring construction components config "
-                             "selection degree_data fibered chains raw")):
+class LoadedModel(namedtuple("LoadedModel", "ring components config selection "
+                             "degree_data fibered chains")):
     """Everything a model file can carry, already validated."""
 
     __slots__ = ()
@@ -541,6 +541,5 @@ def load_model(obj) -> LoadedModel:
         chains[label] = load_chain(chain_obj, ring, construction,
                                    _at("chains", label))
     return LoadedModel(
-        ring, construction, components, config, selection,
-        degree_data, fibered, chains, obj,
+        ring, components, config, selection, degree_data, fibered, chains,
     )

@@ -76,14 +76,10 @@ def check_key(config: NCConfig, selection: StratumSelection,
     return _compare("key", after, before, context)
 
 
-def check_denloe(config: DegreeConfig, steps,
-                 selection: StratumSelection = None) -> CheckReport:
+def check_denloe(config: DegreeConfig, steps: list,
+                 selection: StratumSelection) -> CheckReport:
     """Degree-level invariance of the weighted Euler sum under point
     blow-ups of a surface configuration."""
-    if isinstance(steps, BlowupStep):
-        steps = [steps]
-    if selection is None:
-        selection = StratumSelection.whole(config.names)
     before = integrate_degree(config, selection)
     current, sel = config, selection
     for step in steps:

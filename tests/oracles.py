@@ -10,6 +10,10 @@ checkers report in the form of `celint.verify`'s own checkers.
 `reference_inverse` is the geometric series of a class inverse in plain
 class products, so references that invert a class do not reuse the
 `ChowClass.inverse` kernel they check.
+
+`nonrational_factors` is the rest of the pole search that `rational_poles`
+starts: the denominator's factors with no rational root, as monic
+squarefree factors (Yun's decomposition, with `derivative`).
 """
 
 from fractions import Fraction
@@ -23,7 +27,8 @@ from celint.errors import (
     RingMismatch,
     SchemaError,
 )
-from celint.exactnum import RationalFunction, as_fraction, rf
+from celint.exactnum import (Polynomial, RationalFunction, as_fraction,
+                             rational_poles, rf)
 from celint.model import NCConfig
 from celint.verify import CheckReport, _compare, _describe_config
 
@@ -33,7 +38,8 @@ def reference_inverse(x: ChowClass) -> ChowClass:
     codimension-0 coefficient of x and n its positive part."""
     ring = x.ring
     c0 = x.coefficient(ring.fundamental)
-    n = x.positive_part()
+    n = ChowClass(ring, {name: c for name, c in x.coeffs.items()
+                         if name != ring.fundamental})
     result = ring.one().scale(rf(1) / c0)
     power = ring.one()
     for k in range(1, ring.dim + 1):
@@ -42,6 +48,47 @@ def reference_inverse(x: ChowClass) -> ChowClass:
             break
         result = result + power.scale(rf((-1) ** k) / c0 ** (k + 1))
     return result
+
+
+def derivative(p: Polynomial) -> Polynomial:
+    return Polynomial([c * k for k, c in enumerate(p.coeffs) if k])
+
+
+def squarefree_factors(p: Polynomial):
+    """Yun decomposition as (monic squarefree factor, multiplicity) pairs."""
+    f = p.monic()
+    if f.degree < 1:
+        return ()
+    df = derivative(f)
+    a = f.gcd(df)
+    b = f.div_exact(a)
+    c = df.div_exact(a)
+    d = c - derivative(b)
+    parts = []
+    mult = 1
+    while b.degree > 0:
+        a = b.gcd(d)
+        if a.degree > 0:
+            parts.append((a, mult))
+        b = b.div_exact(a)
+        c = d.div_exact(a)
+        d = c - derivative(b)
+        mult += 1
+    return tuple(parts)
+
+
+def nonrational_factors(f: RationalFunction, poles=None) -> tuple:
+    """The monic squarefree factors of f's denominator left once the
+    linear factors at the rational poles are divided out; poles defaults
+    to those `rational_poles` finds."""
+    if poles is None:
+        poles = rational_poles(f).poles
+    leftover = f.den.monic()
+    for r in sorted(poles):
+        linear = Polynomial((-r, 1))
+        while leftover.degree >= 1 and leftover.evaluate(r) == 0:
+            leftover = leftover.div_exact(linear)
+    return tuple(base for base, _ in squarefree_factors(leftover))
 
 
 def total_divisor_class(config: NCConfig) -> ChowClass:
@@ -164,7 +211,8 @@ def check_spell_elgen(data_x, data_y, i: int) -> CheckReport:
             )
     int_x = integrate_class(config_x, None)
     int_y = integrate_class(config_y, None)
-    c1 = ring.require_tangent_chern()._select(lambda k: k == 1)
+    c1 = ChowClass(ring, {n: c for n, c in ring.require_tangent_chern().coeffs.items()
+                          if ring.codim_of[n] == 1})
     elgen_x = c1 + k_x - div_y
     elgen_y = c1 + k_y - div_x
     acted_x = (elgen_x ** i) * int_x

@@ -44,7 +44,7 @@ from celint.model import (
     NCConfig,
     StratumSelection,
 )
-from celint.modelfile import load_chain, load_model, ring_literal
+from celint.modelfile import load_model, ring_literal
 
 from conftest import read_fixture, time_limit
 from oracles import paired_total, reference_inverse, stringy_hypersurface
@@ -323,8 +323,10 @@ def test_stringy_smooth_is_chern_class():
 def test_stringy_smooth_target_is_its_chern_class():
     # discrepancy data of the blow-down: manifesting recovers the
     # tangent Chern class of the blow-down target
-    model = load_model(read_fixture("diffman_p2.json"))
-    chain = load_chain("construction", model.ring, model.construction)
+    obj = read_fixture("diffman_p2.json")
+    obj["chains"]["down"] = "construction"
+    model = load_model(obj)
+    chain = model.chains["down"]
     cls = stringy_class(model.config, chain)
     target = chain[-1].target
     assert cls == target.require_tangent_chern()
@@ -358,7 +360,7 @@ def test_stringy_flop_degree():
 
 def test_manifest_checks_source_ring():
     model = load_model(read_fixture("cusp.json"))
-    chain = load_chain("construction", model.ring, model.construction)
+    chain = model.chains["toP2"]
     with pytest.raises(RingMismatch):
         manifest(P2.one(), chain)
     assert manifest(P2.one(), None) == P2.one()

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from celint.exprparse import parse_rf
 from celint.modelfile import ring_literal
 
 from oracles import proper_transform, reference_inverse
+from test_celestial import HALF_P3
 
 P2 = ring_projective(2)
 P3 = ring_projective(3)
@@ -138,8 +140,7 @@ def test_blowup_requires_point():
 def test_class_arithmetic_and_grading():
     h = P2.basis_class("h")
     c = P2.one() + h.scale(rf(2)) + (h * h).scale(rf(5))
-    assert c._select(lambda k: k == 1) == h.scale(rf(2))
-    assert c.positive_part() == c - P2.one()
+    assert c.coefficient("h") == rf(2)
     assert c.coefficient("h^2") == rf(5)
     assert (-c) + c == P2.zero()
     assert c.is_pure_codim(0) is False
@@ -743,11 +744,6 @@ def test_class_arithmetic_matches_coefficientwise_qm(triple):
     assert_same(x - y, ChowClass(ring, {n: cx[n] - cy[n] for n in cx}))
     assert_same(-x, ChowClass(ring, {n: -cx[n] for n in cx}))
     assert_same(x.scale(s), ChowClass(ring, {n: cx[n] * rf(s) for n in cx}))
-    for k in range(ring.dim + 1):
-        assert_same(x._select(lambda j: j == k), ChowClass(ring, {
-            n: c for n, c in cx.items() if ring.codim_of[n] == k}))
-    assert_same(x.positive_part(), ChowClass(ring, {
-        n: c for n, c in cx.items() if ring.codim_of[n] > 0}))
     assert_same(x * y, reference_product(x, y))
     top = [n for n in ring.all_names if ring.codim_of[n] == ring.dim]
     degree = rf(0)
@@ -828,7 +824,7 @@ def test_constant_chain_builds_no_rational_function(monkeypatch):
     down = ring_blowup_point(P2)[1]
     v = down.pull(down.push(w.scale(Fraction(2, 9))) + P2.basis_class("h")) * w
     assert built == []
-    assert w.render() and w._select(lambda k: k == 1).is_pure_codim(1)
+    assert w.render() and w.is_constant()
     assert v.render() and v.is_constant()
     assert built == []
     coefficients = w.coeffs
@@ -878,8 +874,8 @@ BL2_P2 = ring_blowup_point(BL_P2)[0]
 
 
 @pytest.mark.parametrize("ring, x, divisor, gcds", [
-    (P2, "3/2 - h/4 + 2*h^2", "2*h", 2),
-    (BL2_P2, "1 + 3*h/2 - e1 + e2/3 - 2*h^2", "h - e1 - 2*e2", 6),
+    (P2, "3/2 - h/4 + 2*h^2", "2*h", 0),
+    (BL2_P2, "1 + 3*h/2 - e1 + e2/3 - 2*h^2", "h - e1 - 2*e2", 2),
 ], ids=("P2", "Bl2P2"))
 def test_mixed_class_arithmetic_runs_gcds_only_in_sums(monkeypatch, ring, x, divisor, gcds):
     x, divisor = parse_class(x, ring), parse_class(divisor, ring)
@@ -891,8 +887,8 @@ def test_mixed_class_arithmetic_runs_gcds_only_in_sums(monkeypatch, ring, x, div
     scaled = x.scale(weight)
     assert calls == []
     product = x * factor
-    # the gcds come from the sums of the table products, whose
-    # denominators are all 1 + m
+    # the gcds come from sums of two table products whose denominators
+    # are both 1 + m; a polynomial plus p/(1 + m) runs none
     assert len(calls) == gcds
     assert all(b == parse_rf("1 + m").num for _, b in calls)
     monkeypatch.undo()
@@ -934,6 +930,64 @@ def test_integer_inverse_normalizes_once_and_makes_no_product(monkeypatch, text,
     monkeypatch.undo()
     assert_same(inverse, expected)
     assert x * inverse == ring.one()
+
+
+# A Q(m) class takes the same pass over RationalFunction numerators and
+# ends in one `_make`.
+
+QM_C0_TEXTS = ("1", "-3/2", "1 + m")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_inverse_pass_matches_the_geometric_series(seed):
+    rng = random.Random(seed)
+    ring = (P2, P3, BL2_P2, HALF_P3)[seed % 4]
+    coeffs = {ring.fundamental: parse_rf(QM_C0_TEXTS[seed // 4 % 3])}
+    for name in ring.all_names[1:]:
+        coeffs[name] = parse_rf(rng.choice(COEFF_TEXTS))
+    coeffs[rng.choice(ring.all_names[1:])] = parse_rf(rng.choice(QM_TEXTS))
+    x = ChowClass(ring, coeffs)
+    assert not x.is_constant()
+    inverse = x.inverse()
+    assert_same(inverse, reference_inverse(x))
+    assert x * inverse == ring.one() == inverse * x
+
+
+def test_parsed_qm_inverses():
+    assert_same(parse_class("1/(1 + m*h)", P2), parse_class("1 - m*h + m^2*h^2", P2))
+    x = parse_class("(2 + m*h)^-2", P2)
+    assert_same(x, parse_class("1/4 - m*h/4 + 3*m^2*h^2/16", P2))
+    assert x * parse_class("(2 + m*h)^2", P2) == P2.one()
+
+
+@pytest.mark.parametrize("text", ["h - 3*h^2", "m*h + h^2/(1 + m)"],
+                         ids=("integer", "qm"))
+def test_zero_c0_has_no_inverse_in_either_form(text):
+    with pytest.raises(DivisionByZero):
+        parse_class(text, P2).inverse()
+
+
+@pytest.mark.parametrize("text, ring", [
+    ("1 + m*h - h^2/(1 + m)", P2),
+    ("-3/2 + m*h + 2*h^2/(2 + m) - h^3", P3),
+    ("1 + m + h/(2 + m) - m*g + 3*p", HALF_P3),
+], ids=("P2-unit", "P3-constant", "half-P3-1+m"))
+def test_qm_inverse_makes_one_class_and_no_product(monkeypatch, text, ring):
+    x = parse_class(text, ring)
+    expected = reference_inverse(x)
+    made = []
+    make = ChowClass._make.__func__
+
+    def counting(cls, ring, coeffs):
+        made.append(ring)
+        return make(cls, ring, coeffs)
+
+    monkeypatch.setattr(ChowClass, "_make", classmethod(counting))
+    forbid(monkeypatch, ChowClass, "__mul__")
+    inverse = x.inverse()
+    assert len(made) == 1
+    monkeypatch.undo()
+    assert_same(inverse, expected)
 
 
 def test_integer_push_and_pull_normalize_once(monkeypatch):

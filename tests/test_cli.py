@@ -1,9 +1,11 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -399,6 +401,84 @@ def test_no_module_imports_private_names_of_another():
                 borrowed += [f"{path.stem}: {node.module}.{alias.name}"
                              for alias in node.names if alias.name.startswith("_")]
     assert not borrowed
+
+
+def unnamed_functions(package, others=()) -> list:
+    """The functions and methods defined in the package sources, dunders
+    left out, that no source names outside their own def. A name is an
+    identifier, an attribute, an imported name or a part of a string
+    that is a dotted name, such as the benchmark's traced spans. A def
+    named only from inside defs found unnamed is unnamed too."""
+    trees = [ast.parse(text) for text in list(package) + list(others)]
+    defs = [node for tree in trees[:len(package)] for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+    def named(node, skip):
+        if node in skip:
+            return Counter()
+        if isinstance(node, ast.Name):
+            out = Counter([node.id])
+        elif isinstance(node, ast.Attribute):
+            out = Counter([node.attr])
+        elif isinstance(node, ast.alias):
+            out = Counter([node.name.split(".")[-1]])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            out = Counter(node.value.split("."))
+        else:
+            out = Counter()
+        for child in ast.iter_child_nodes(node):
+            out += named(child, skip)
+        return out
+
+    unnamed = set()
+    while True:
+        total = sum((named(tree, unnamed) for tree in trees), Counter())
+        found = {node for node in defs if node not in unnamed
+                 and total[node.name] <= named(node, unnamed)[node.name]}
+        if not found:
+            return sorted(node.name for node in unnamed)
+        unnamed |= found
+
+
+def package_and_benchmark_sources():
+    src = Path(cli.__file__).parent
+    bench = src.parent.parent / "perfbench"
+    return ([path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))],
+            [path.read_text(encoding="utf-8") for path in sorted(bench.glob("*.py"))])
+
+
+def test_every_function_in_the_package_is_named_outside_its_def():
+    # reads the benchmark's sources and changes nothing there
+    package, bench = package_and_benchmark_sources()
+    assert unnamed_functions(package, bench) == []
+
+
+LEFT_BEHIND = """
+class ChowClass:
+    def _select(self, keep):
+        return keep
+
+    def positive_part(self):
+        return self._select(lambda k: k > 0)
+
+
+class Polynomial:
+    def derivative(self):
+        return self
+
+    def squarefree_factors(self):
+        return self.derivative().derivative()
+"""
+
+
+def test_unnamed_function_guard_finds_helpers_left_behind():
+    # the shape of the Q(m) series' and the pole leftover's helpers,
+    # had their one caller gone without them
+    package, bench = package_and_benchmark_sources()
+    assert unnamed_functions(package + [LEFT_BEHIND], bench) == [
+        "_select", "derivative", "positive_part", "squarefree_factors"]
 
 
 BENCHMARK_IMPORTS = """

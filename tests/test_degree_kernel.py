@@ -11,7 +11,8 @@ kernel made before it divided by its own denominator factors. When SymPy
 is installed, `sympy.cancel` of the literal subset sum is a further,
 independent oracle. The zeta pole report is
 checked against `rational_poles`, which searches the divisors of the
-denominator's coefficients.
+denominator's coefficients, and `oracles.nonrational_factors` checks
+that the denominator has no factor beyond the reported poles.
 """
 
 import random
@@ -31,7 +32,7 @@ from celint.exprparse import parse_rf
 from celint.model import DegreeConfig, FiberedConfig, StratumSelection
 
 from conftest import time_limit
-from oracles import paired_total
+from oracles import nonrational_factors, paired_total
 
 # constant (including values <= -1), m-linear and parsed multiplicities;
 # 1 + (m^2 + 3*m + 1) = (m + 1)(m + 2) is a reducible non-linear factor
@@ -209,7 +210,7 @@ def test_zeta_poles_of_nineteen_digit_multiplicities():
         assert value == reference_integrate_degree(config, selection)
         for pole in report.poles:
             assert value.den.evaluate(pole) == 0
-        assert not report.nonrational_factors
+        assert not nonrational_factors(value, report.poles)
         # the denominator splits into the linear factors at the poles
         assert len(report.poles) == value.den.degree
     assert zeta_degree(config)[1].render() == f"{-(huge + 1)}, -1"

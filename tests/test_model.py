@@ -494,15 +494,18 @@ def test_load_model_with_ring():
 
 
 def test_load_model_construction_chain():
-    model = load_model(read_fixture("cusp.json"))
+    obj = read_fixture("cusp.json")
+    model = load_model(obj)
     assert model.ring.kind.count("blowup") == 3
-    chain = load_chain(model.raw["chains"]["toP2"], model.ring,
-                       model.construction)
-    assert len(chain) == 3
-    pushed = chain[0].push(model.config.divisor_of("D"))
-    pushed = chain[1].push(pushed)
-    pushed = chain[2].push(pushed)
-    assert pushed == parse_class("3*h", chain[2].target)
+    ring, construction = load_ring(obj["ring"], "ring")
+    maps = load_chain(obj["chains"]["toP2"], ring, construction)
+    assert len(maps) == 3
+    for chain, divisor in ((maps, parse_class(obj["components"][0]["class"], ring)),
+                           (model.chains["toP2"], model.config.divisor_of("D"))):
+        pushed = chain[0].push(divisor)
+        pushed = chain[1].push(pushed)
+        pushed = chain[2].push(pushed)
+        assert pushed == parse_class("3*h", chain[2].target)
 
 
 def test_load_model_literal_chain():

@@ -144,12 +144,12 @@ def test_check_denloe_surface_steps():
     config = model.degree_data
     sel = StratumSelection.whole(config.names)
     on_divisor = BlowupStep(frozenset({"D"}), "E1")
-    report = check_denloe(config, on_divisor, sel)
+    report = check_denloe(config, [on_divisor], sel)
     assert report.passed
     off_divisor = BlowupStep(frozenset(), "E1")
-    assert check_denloe(config, off_divisor).passed
+    assert check_denloe(config, [off_divisor], sel).passed
     two = [on_divisor, BlowupStep(frozenset({"D", "E1"}), "E2")]
-    report = check_denloe(config, two)
+    report = check_denloe(config, two, sel)
     assert report.passed
     assert "2 blow-up step(s)" in report.context
 
@@ -158,7 +158,7 @@ def test_check_denloe_with_selection():
     model = load_model(read_fixture("conic.json"))
     config = model.degree_data
     sel = StratumSelection.from_closed(config.names, ["D"])
-    report = check_denloe(config, BlowupStep(frozenset({"D"}), "E1"), sel)
+    report = check_denloe(config, [BlowupStep(frozenset({"D"}), "E1")], sel)
     assert report.passed
 
 
